@@ -1,18 +1,20 @@
 """Subspace frequency estimation through shift invariance.
 
-Three estimators share one idea: the column span of the top singular vectors
-of a sum-indexed sample matrix is also spanned by the node-power columns, so
-deleting rows on either end of every fiber and solving a least-squares
-problem yields, per dimension p, a small matrix A_p whose eigenvalues are
-the p-th node coordinates.
+The column span of the top singular vectors of a sum-indexed sample matrix
+is also spanned by the node-power columns, so deleting rows on either end of
+every fiber and solving a least-squares problem yields, per dimension p, a
+small matrix A_p whose eigenvalues are the p-th node coordinates.
 
-* :func:`esprit_1d` works on a plain sample vector.
-* :func:`esprit_block` works on a d-dimensional sample tensor over a cube,
-  using vectorized-index slab deletions, and diagonalizes A_1 directly.
-* :func:`esprit_nd` works on arbitrary convex-fiber row grids.  All A_p are
-  put into a single eigenbasis computed from a seeded random unit-modulus
-  combination of them, which pairs the per-dimension coordinates row by row
-  and survives repeated eigenvalues in any single A_p.
+:func:`esprit_nd` is the one estimation pipeline; it works on arbitrary
+convex-fiber row grids.  All A_p are put into a single eigenbasis computed
+from a seeded random unit-modulus combination of them, which pairs the
+per-dimension coordinates row by row and survives repeated eigenvalues in
+any single A_p.  Two input adapters feed it:
+
+* :func:`esprit_1d` takes a plain sample vector (a 1-d box of rows and one
+  of columns).
+* :func:`esprit_block` takes a d-dimensional sample tensor over an odd cube
+  (the same N-cube as row and column grid).
 
 Frequencies are principal logarithms of the recovered nodes, so imaginary
 parts lie in (-pi, pi]; integer sampling cannot tell frequencies apart that
@@ -25,10 +27,9 @@ import warnings as _warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import linalg_backend as lb
-from .domains import IndexSet, DeletionMasks, deletion_masks
+from .domains import IndexSet, DeletionMasks, deletion_masks, make_box
 from .errors import (
     CapacityError,
     DomainError,
@@ -37,6 +38,7 @@ from .errors import (
     PairingError,
 )
 from .hankel import DEFAULT_RANK_REL_TOL, build_hankel
+from .linalg_backend import _readonly
 from .signal import ExponentialModel, MdSequence, vandermonde
 
 # Condition estimate of the coefficient system beyond which the recovered
@@ -46,12 +48,6 @@ COEFF_COND_LIMIT = 1e12
 # Eigenvalues of the combined shift matrix closer than this fraction of the
 # spectral radius trigger a redraw of the combination.
 MULTIPLICITY_GAP_REL = 1e-8
-
-
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    arr = np.array(arr, copy=True)
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass
@@ -127,9 +123,30 @@ def _principal_log(nodes: np.ndarray) -> np.ndarray:
     return np.where(z.imag == -np.pi, z.conj(), z)
 
 
-def _coefficients(f_values: np.ndarray, power_matrix: np.ndarray) -> tuple[np.ndarray, float]:
-    coeffs, cond = lb.lstsq_minimum_norm(power_matrix, f_values)
-    return coeffs, cond
+def _coeff_warnings(cond: float) -> tuple[str, ...]:
+    if cond > COEFF_COND_LIMIT:
+        return (
+            f"coefficient system condition {cond:.3e} exceeds {COEFF_COND_LIMIT:.0e}; "
+            "coefficients may be unreliable",
+        )
+    return ()
+
+
+def _check_capacity(K: int, cap: int, n_columns: int) -> None:
+    if K > cap:
+        raise CapacityError(
+            f"model order {K} exceeds the capacity {cap} of the row grid "
+            "(minimum over dimensions of point count minus fiber count; "
+            "N^(d-1)*(N-1) for an N-cube)",
+            capacity=cap,
+            requested=K,
+        )
+    if K > n_columns:
+        raise CapacityError(
+            f"model order {K} exceeds the {n_columns} points of the column grid",
+            capacity=n_columns,
+            requested=K,
+        )
 
 
 def recover_coeffs(f: MdSequence, nodes: np.ndarray) -> np.ndarray:
@@ -149,52 +166,10 @@ def recover_coeffs(f: MdSequence, nodes: np.ndarray) -> np.ndarray:
             f"{lam.shape[0]} nodes but only {len(f.domain)} samples; system is underdetermined"
         )
     V = vandermonde(f.domain, np.log(lam))
-    coeffs, cond = _coefficients(f.values, V)
-    if cond > COEFF_COND_LIMIT:
-        _warnings.warn(
-            f"coefficient system condition {cond:.3e} exceeds {COEFF_COND_LIMIT:.0e}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    coeffs, cond = lb.lstsq_minimum_norm(V, f.values)
+    for message in _coeff_warnings(cond):
+        _warnings.warn(message, RuntimeWarning, stacklevel=2)
     return coeffs
-
-
-def esprit_1d(samples: np.ndarray, model_order: int) -> np.ndarray:
-    """Recover 1-d frequencies from consecutive samples.
-
-    The samples are interpreted as f at 2N-1 (or 2N) consecutive integers;
-    a near-square Hankel matrix with N = ceil((len+1)/2) rows is formed, the
-    signal subspace is extracted, and the one-row shift is solved in the
-    least-squares sense.  Returns ``model_order`` frequencies (complex,
-    imaginary part in (-pi, pi]).
-    """
-    arr = np.asarray(samples, dtype=np.complex128).ravel()
-    if arr.size < 3:
-        raise DomainError(f"need at least 3 samples, got {arr.size}")
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteError("samples must be finite")
-    n_rows = (arr.size + 1) // 2
-    if model_order < 1:
-        raise DomainError(f"model order must be at least 1, got {model_order}")
-    if model_order > n_rows - 1:
-        raise CapacityError(
-            f"model order {model_order} exceeds the shift capacity {n_rows - 1} "
-            f"of a {n_rows}-row Hankel matrix",
-            capacity=n_rows - 1,
-            requested=model_order,
-        )
-    H = scipy.linalg.hankel(arr[:n_rows], arr[n_rows - 1 :])
-    svd = lb.truncated_svd(H, model_order)
-    s = svd.spectrum
-    if s[model_order - 1] <= max(H.shape) * np.finfo(np.float64).eps * s[0]:
-        raise ModelOrderError(
-            f"sample matrix has numerical rank below {model_order}; "
-            "fewer terms are present than requested"
-        )
-    U = svd.U
-    A = lb.lstsq(U[:-1], U[1:])
-    eigenvalues = lb.eig_full(A).eigenvalues
-    return _readonly(_principal_log(eigenvalues))
 
 
 def _shift_from_masks(U: np.ndarray, masks: DeletionMasks) -> np.ndarray:
@@ -223,16 +198,6 @@ def shift_matrix(U: np.ndarray, xi: IndexSet, p: int) -> np.ndarray:
     if U.shape[0] != len(xi):
         raise DomainError(f"U has {U.shape[0]} rows, expected {len(xi)}")
     return _readonly(_shift_from_masks(U, deletion_masks(xi, p)))
-
-
-def _similar_diagonal(B: np.ndarray, A: np.ndarray) -> np.ndarray:
-    # B A B^{-1} without forming the inverse
-    return np.linalg.solve(B.T, (B @ A).T).T
-
-
-def _off_diag_norm(D: np.ndarray) -> float:
-    off = D - np.diag(np.diag(D))
-    return float(np.linalg.norm(off))
 
 
 def joint_eig(shift_matrices: list[np.ndarray], options: EspritOptions | None = None) -> JointDiagonalization:
@@ -273,9 +238,9 @@ def joint_eig(shift_matrices: list[np.ndarray], options: EspritOptions | None = 
         diagonals = []
         residuals = np.empty(d)
         for p, A in enumerate(mats):
-            D = _similar_diagonal(B, A)
-            residuals[p] = _off_diag_norm(D)
+            D = np.linalg.solve(B.T, (B @ A).T).T  # B A B^{-1} without forming the inverse
             diagonals.append(np.diag(D))
+            residuals[p] = np.linalg.norm(D - np.diag(diagonals[-1]))
         multiplicity_only = False
         last_residuals = residuals
         if all(residuals[p] <= opts.diag_residual_tol * norms[p] for p in range(d)):
@@ -313,7 +278,8 @@ def esprit_nd(
     ``xi`` (row grid) must have convex fibers; ``f`` must cover every sum
     x + y of a row point and a column point.  The model order comes from
     ``options`` (fixed, or selected from the singular value sequence) and is
-    checked against the grid capacity before any subspace work.
+    checked against the grid capacity before any subspace work, and against
+    the numerical rank of the sample matrix before the shift solves.
     """
     opts = options or EspritOptions()
     d = f.domain.dim
@@ -325,72 +291,73 @@ def esprit_nd(
         raise NonFiniteError("samples must be finite")
     masks = [deletion_masks(xi, p) for p in range(1, d + 1)]
     cap = min(len(m.keep_minus) for m in masks)
-    if opts.model_order is not None and opts.model_order > cap:
-        raise CapacityError(
-            f"model order {opts.model_order} exceeds the capacity {cap} of the row grid "
-            "(minimum over dimensions of point count minus fiber count; "
-            "N^(d-1)*(N-1) for an N-cube)",
-            capacity=cap,
-            requested=opts.model_order,
-        )
+    if opts.model_order is not None:
+        _check_capacity(opts.model_order, cap, len(upsilon))
     H = build_hankel(f, xi, upsilon)
     svd = lb.truncated_svd(H.matrix, min(H.shape))
-    K = opts.model_order if opts.model_order is not None else auto_order(svd.spectrum, opts.auto_rel_tol)
-    if K < 1:
-        raise ModelOrderError("selected model order is zero; nothing to recover")
-    if K > cap:
-        raise CapacityError(
-            f"model order {K} exceeds the capacity {cap} of the row grid "
-            "(minimum over dimensions of point count minus fiber count; "
-            "N^(d-1)*(N-1) for an N-cube)",
-            capacity=cap,
-            requested=K,
-        )
-    if K > len(upsilon):
-        raise CapacityError(
-            f"model order {K} exceeds the {len(upsilon)} points of the column grid",
-            capacity=len(upsilon),
-            requested=K,
+    s = svd.spectrum
+    K = opts.model_order
+    if K is None:
+        K = auto_order(s, opts.auto_rel_tol)
+        if K < 1:
+            raise ModelOrderError("selected model order is zero; nothing to recover")
+        _check_capacity(K, cap, len(upsilon))
+    if s[K - 1] <= max(H.shape) * np.finfo(np.float64).eps * s[0]:
+        raise ModelOrderError(
+            f"sample matrix has numerical rank below {K}; "
+            "fewer terms are present than requested"
         )
     U = svd.U[:, :K]
     shifts = [_shift_from_masks(U, m) for m in masks]
     jd = joint_eig(shifts, opts)
     zetas = _principal_log(jd.nodes)
-    V = vandermonde(f.domain, zetas)
-    coeffs, cond = _coefficients(f.values, V)
+    coeffs, cond = lb.lstsq_minimum_norm(vandermonde(f.domain, zetas), f.values)
     if np.any(coeffs == 0):
         raise ModelOrderError(
             f"least squares dropped a term entirely (model order {K} exceeds the "
             "numerical rank of the data); lower the order or use automatic selection"
         )
-    warn: tuple[str, ...] = ()
-    if cond > COEFF_COND_LIMIT:
-        warn = (
-            f"coefficient system condition {cond:.3e} exceeds {COEFF_COND_LIMIT:.0e}; "
-            "coefficients may be unreliable",
-        )
-    model = ExponentialModel(dim=d, zetas=zetas, coeffs=coeffs)
     return EstimationReport(
-        model=model,
-        singular_values=svd.spectrum,
+        model=ExponentialModel(dim=d, zetas=zetas, coeffs=coeffs),
+        singular_values=s,
         pairing_residuals=jd.off_diag_norms,
         combo_used=jd.alphas,
         coeff_condition=cond,
-        warnings=warn,
+        warnings=_coeff_warnings(cond),
     )
+
+
+def esprit_1d(samples: np.ndarray, model_order: int) -> np.ndarray:
+    """Recover 1-d frequencies from consecutive samples.
+
+    The samples are interpreted as f at 2N-1 (or 2N) consecutive integers
+    and passed to :func:`esprit_nd` with a row box of N = ceil((len+1)/2)
+    points and a column box covering the rest, which forms a near-square
+    Hankel matrix.  Returns ``model_order`` frequencies (complex, imaginary
+    part in (-pi, pi]).
+    """
+    arr = np.asarray(samples, dtype=np.complex128).ravel()
+    if arr.size < 3:
+        raise DomainError(f"need at least 3 samples, got {arr.size}")
+    n_rows = (arr.size + 1) // 2
+    report = esprit_nd(
+        MdSequence(make_box((arr.size,)), arr),
+        make_box((n_rows,)),
+        make_box((arr.size - n_rows + 1,)),
+        EspritOptions(model_order=model_order),
+    )
+    return report.model.zetas[:, 0]
 
 
 def esprit_block(samples: np.ndarray, options: EspritOptions | None = None) -> EstimationReport:
     """Cube-grid frequency estimation on a d-dimensional sample tensor.
 
     ``samples`` must be a tensor of odd side 2N-1 in every dimension, holding
-    f on consecutive integers (axis p is coordinate p).  The block matrix is
-    indexed by the vectorization m1 + m2*N + ... of the N-cube; subspace rows
-    are deleted as whole slabs.  Kept close to the classical cube form: the
-    eigenbasis comes from diagonalizing A_1 directly, so this path assumes the
-    first-coordinate node values are pairwise distinct.
+    f on consecutive integers (axis p is coordinate p).  The tensor is
+    flattened in the canonical order (first axis fastest) and passed to
+    :func:`esprit_nd` with the N-cube as both row and column grid, so the
+    dimensions are paired through the same random combination.
     """
-    opts = options or EspritOptions()
     arr = np.asarray(samples, dtype=np.complex128)
     d = arr.ndim
     if d < 1 or arr.size == 0:
@@ -400,60 +367,6 @@ def esprit_block(samples: np.ndarray, options: EspritOptions | None = None) -> E
         raise DomainError(f"sample tensor must be a cube, got shape {arr.shape}")
     if side < 3 or side % 2 == 0:
         raise DomainError(f"cube side must be odd and at least 3, got {side}")
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteError("samples must be finite")
-    N = (side + 1) // 2
-    cap = (N - 1) * N ** (d - 1)
-
-    coords = np.indices((N,) * d).reshape(d, -1, order="F").T
-    row_sums = tuple(coords[:, None, p] + coords[None, :, p] for p in range(d))
-    H = arr[row_sums]
-    svd = lb.truncated_svd(H, min(H.shape))
-    K = opts.model_order if opts.model_order is not None else auto_order(svd.spectrum, opts.auto_rel_tol)
-    if K < 1:
-        raise ModelOrderError("selected model order is zero; nothing to recover")
-    if K > cap:
-        raise CapacityError(
-            f"model order {K} exceeds the cube capacity {cap} = (N-1)*N^(d-1) with N={N}",
-            capacity=cap,
-            requested=K,
-        )
-    U = svd.U[:, :K]
-    U_tensor = U.reshape((N,) * d + (K,), order="F")
-    shifts = []
-    for p in range(d):
-        minus = np.take(U_tensor, np.arange(N - 1), axis=p).reshape(-1, K, order="F")
-        plus = np.take(U_tensor, np.arange(1, N), axis=p).reshape(-1, K, order="F")
-        shifts.append(lb.lstsq(minus, plus))
-
-    eig = lb.eig_full(shifts[0])
-    B = eig.eigvecs_inv
-    diagonals = []
-    residuals = np.empty(d)
-    for p, A in enumerate(shifts):
-        D = _similar_diagonal(B, A)
-        residuals[p] = _off_diag_norm(D)
-        diagonals.append(np.diag(D))
-    nodes = np.stack(diagonals, axis=1)
-    zetas = _principal_log(nodes)
-
-    omega_coords = np.indices((side,) * d).reshape(d, -1, order="F").T
-    V = np.exp(omega_coords @ zetas.T)
-    coeffs, cond = _coefficients(arr.ravel(order="F"), V)
-    warn: tuple[str, ...] = ()
-    if cond > COEFF_COND_LIMIT:
-        warn = (
-            f"coefficient system condition {cond:.3e} exceeds {COEFF_COND_LIMIT:.0e}; "
-            "coefficients may be unreliable",
-        )
-    combo = np.zeros(d, dtype=np.complex128)
-    combo[0] = 1.0
-    model = ExponentialModel(dim=d, zetas=zetas, coeffs=coeffs)
-    return EstimationReport(
-        model=model,
-        singular_values=svd.spectrum,
-        pairing_residuals=_readonly(residuals),
-        combo_used=_readonly(combo),
-        coeff_condition=cond,
-        warnings=warn,
-    )
+    grid = make_box(((side + 1) // 2,) * d)
+    f = MdSequence(make_box(arr.shape), arr.ravel(order="F"))
+    return esprit_nd(f, grid, grid, options)

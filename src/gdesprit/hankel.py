@@ -16,17 +16,12 @@ import numpy as np
 
 from .domains import IndexSet, deletion_masks
 from .errors import CoverageError, DomainError
+from .linalg_backend import _readonly
 from .signal import MdSequence
 
 # Numerical-rank cutoff used when no explicit tolerance is given; suited to
 # noise-free data.
 DEFAULT_RANK_REL_TOL = 1e-10
-
-
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    arr = np.array(arr, copy=True)
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True)

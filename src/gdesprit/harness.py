@@ -4,8 +4,9 @@ An :class:`ExperimentSpec` fixes a random-model recipe, a grid layout and a
 noise ladder; :func:`run_experiment` turns it into per-trial matched error
 records, a CSV table and a JSON summary.  Everything is derived from the
 spec's seed, so rerunning an identical spec reproduces the result files
-byte for byte.  Estimation failures inside a trial are recorded in the
-results instead of aborting the run.
+byte for byte.  Estimation failures inside a trial (the library's typed
+errors and ``LinAlgError``) are recorded in the results instead of aborting
+the run; any other exception is a programming error and propagates.
 """
 
 from __future__ import annotations
@@ -14,14 +15,23 @@ import csv
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .domains import IndexSet, erode, minkowski_sum
-from .errors import DomainError
+from .errors import (
+    CapacityError,
+    CoverageError,
+    DomainError,
+    GenerationError,
+    ModelOrderError,
+    NonFiniteError,
+    PairingError,
+    RankDeficiencyError,
+)
 from .esprit import EspritOptions, esprit_nd
 from .serialize import grid_from_spec
 from .signal import MdSequence, add_noise, eval_model, random_model
@@ -29,6 +39,19 @@ from .signal import MdSequence, add_noise, eval_model, random_model
 NOISE_LADDER = (10.0 ** 0, 10.0 ** -0.5, 10.0 ** -1, 10.0 ** -2, 10.0 ** -3, 10.0 ** -4)
 
 CSV_COLUMNS = ("trial", "noise_ratio", "k", "lambda_err", "zeta_err", "coeff_err")
+
+# Failures of an estimate that a trial records as data.
+_ESTIMATION_ERRORS = (
+    CapacityError,
+    CoverageError,
+    DomainError,
+    GenerationError,
+    ModelOrderError,
+    NonFiniteError,
+    PairingError,
+    RankDeficiencyError,
+    np.linalg.LinAlgError,
+)
 
 
 @dataclass(frozen=True)
@@ -180,7 +203,7 @@ def _run_trial(spec: ExperimentSpec, xi: IndexSet, upsilon: IndexSet, omega: Ind
                     wall_time=time.perf_counter() - start,
                 )
             )
-        except Exception as exc:  # failures are data, not crashes
+        except _ESTIMATION_ERRORS as exc:  # failures are data, not crashes
             out.append(
                 TrialResult(
                     trial=trial,
@@ -243,13 +266,7 @@ def write_results(spec: ExperimentSpec, results: list[TrialResult]) -> tuple[Pat
 
     summary = {
         "name": spec.name,
-        "model": {
-            "layout": spec.model.layout,
-            "K": spec.model.K,
-            "d": spec.model.d,
-            "seed": spec.model.seed,
-            "damping_bound": spec.model.damping_bound,
-        },
+        "model": asdict(spec.model),
         "noise_ratios": list(spec.noise_ratios),
         "trials": spec.trials,
         "results": [
@@ -371,13 +388,7 @@ def spec_to_dict(spec: ExperimentSpec) -> dict:
         grid["omega"] = spec.omega
     return {
         "name": spec.name,
-        "model": {
-            "layout": spec.model.layout,
-            "K": spec.model.K,
-            "d": spec.model.d,
-            "seed": spec.model.seed,
-            "damping_bound": spec.model.damping_bound,
-        },
+        "model": asdict(spec.model),
         "grid": grid,
         "noise_ratios": list(spec.noise_ratios),
         "trials": spec.trials,

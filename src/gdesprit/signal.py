@@ -9,18 +9,13 @@ import numpy as np
 
 from .domains import IndexSet
 from .errors import DomainError, GenerationError, NonFiniteError
+from .linalg_backend import _readonly
 
 # Node vectors closer than this (max over dimensions, in node space) count as
 # colliding during random generation.
 NODE_COLLISION_TOL = 1e-6
 
 _LAYOUTS = ("uniform_imag", "spiral", "random_complex")
-
-
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    arr = np.array(arr, copy=True)
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True)

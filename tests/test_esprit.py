@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -27,7 +29,7 @@ from gdesprit.esprit import (
     shift_matrix,
 )
 from gdesprit.hankel import build_hankel
-from gdesprit.harness import match_frequencies
+from gdesprit.harness import bundled_spec, match_frequencies, run_experiment
 from gdesprit.linalg_backend import truncated_svd
 from gdesprit.signal import (
     ExponentialModel,
@@ -382,14 +384,30 @@ class TestEspritNd:
         np.testing.assert_allclose(np.abs(report.model.coeffs), 1.0, atol=1e-2)
 
     def test_order_far_beyond_numerical_rank(self):
-        # so extreme that least squares zeroes a term outright: a typed error,
-        # not a crash inside model validation
+        # sigma_2 / sigma_1 is about 1e-23: the rank check after the order is
+        # fixed stops it with a typed error before any subspace work
         model = ExponentialModel(1, [[-14.0 + 0.3j], [14.0 + 1.1j]], [1.0, 1.0])
         xi = make_box((5,))
         upsilon = make_box((5,))
         f = eval_model(model, minkowski_sum(xi, upsilon))
         with pytest.raises(ModelOrderError, match="numerical rank"):
             esprit_nd(f, xi, upsilon, EspritOptions(model_order=2))
+
+    def test_dropped_term_is_a_model_order_error(self):
+        # fig6 ladder, model seed 438, trial 3 at noise ratio 1: the noisy
+        # sample matrix has full rank, but the estimated node basis does not
+        # and least squares zeroes a coefficient.  Without the check this
+        # would surface as an untyped DomainError from ExponentialModel.
+        fig6 = bundled_spec("fig6")
+        spec = dataclasses.replace(
+            fig6,
+            model=dataclasses.replace(fig6.model, seed=438),
+            trials=4,
+            noise_ratios=(1.0,),
+        )
+        results = run_experiment(spec)
+        assert [r.failed for r in results] == [False, False, False, True]
+        assert results[3].error.startswith("ModelOrderError: least squares dropped a term")
 
     def test_report_diagnostics_shape(self):
         model = exact_model(4, 2, 3)
@@ -431,11 +449,32 @@ class TestEspritBlock:
         err = match_frequencies(block.model.nodes, general.model.nodes).lambda_errors.max()
         assert err < 1e-12
 
-    def test_block_combo_is_first_axis(self):
+    @pytest.mark.parametrize("order", [2, None])
+    def test_block_report_equals_general_report(self, order):
         model = exact_model(2, 2, 9)
+        f = eval_model(model, make_box((5, 5)))
+        tensor = f.values.reshape(5, 5, order="F")
+        opts = EspritOptions(model_order=order, combo_seed=4)
+        block = esprit_block(tensor, opts)
+        box = make_box((3, 3))
+        general = esprit_nd(f, box, box, opts)
+        np.testing.assert_array_equal(block.model.zetas, general.model.zetas)
+        np.testing.assert_array_equal(block.model.coeffs, general.model.coeffs)
+        np.testing.assert_array_equal(block.singular_values, general.singular_values)
+        np.testing.assert_array_equal(block.pairing_residuals, general.pairing_residuals)
+        np.testing.assert_array_equal(block.combo_used, general.combo_used)
+        assert block.coeff_condition == general.coeff_condition
+        assert block.warnings == general.warnings
+
+    def test_repeated_first_coordinate(self):
+        # two terms share their first node coordinate, so A_1 alone has a
+        # repeated eigenvalue and no basis of its own to pair dimension 2 with
+        model = ExponentialModel(
+            2, [[0.4j, 0.9j], [0.4j, -1.3j], [2j, 0.2j]], [1.0, 1.0, 1.0]
+        )
         tensor = eval_model(model, make_box((5, 5))).values.reshape(5, 5, order="F")
-        report = esprit_block(tensor, EspritOptions(model_order=2))
-        np.testing.assert_array_equal(report.combo_used, [1.0, 0.0])
+        report = esprit_block(tensor, EspritOptions(model_order=3))
+        assert match_frequencies(model.nodes, report.model.nodes).lambda_errors.max() <= 1e-12
 
     def test_auto_order(self):
         model = exact_model(3, 2, 11)

@@ -9,6 +9,7 @@ import json
 import numpy as np
 import pytest
 
+from gdesprit import harness
 from gdesprit.domains import erode, make_box, make_shape, minkowski_sum
 from gdesprit.errors import DomainError
 from gdesprit.harness import (
@@ -208,6 +209,25 @@ class TestRunExperiment:
             assert "CapacityError" in r.error
             assert len(r.lambda_errors) == 3
             assert np.all(np.isnan(r.lambda_errors))
+
+    def test_programming_error_raised_not_recorded(self, monkeypatch):
+        # only the library's typed errors and LinAlgError are data; a
+        # TypeError is a fault in the program and must stop the run
+        def broken(*args, **kwargs):
+            raise TypeError("bad argument")
+
+        monkeypatch.setattr(harness, "esprit_nd", broken)
+        with pytest.raises(TypeError, match="bad argument"):
+            run_experiment(small_spec(trials=1))
+
+    def test_linalg_error_recorded(self, monkeypatch):
+        def diverged(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(harness, "esprit_nd", diverged)
+        results = run_experiment(small_spec(trials=1))
+        assert all(r.failed for r in results)
+        assert results[0].error == "LinAlgError: SVD did not converge"
 
     def test_output_files_written_and_stable(self, tmp_path):
         spec = small_spec(output=str(tmp_path))
