@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import harness, serialize
-from .domains import check_convex_fibers, erode, fibers, minkowski_sum
+from .domains import degenerate_fibers, erode, minkowski_sum
 from .errors import (
     CapacityError,
     CoverageError,
@@ -217,16 +217,12 @@ def cmd_domain_info(args: argparse.Namespace) -> int:
         grids.append(grid)
         print(f"{label}: {text}")
         print(f"  points = {len(grid)}")
-        convex = check_convex_fibers(grid)
-        print(f"  convex fibers = {'yes' if convex else 'no'}")
-        if convex:
-            print(f"  capacity = {capacity(grid)}")
-        else:
-            for p in range(1, grid.dim + 1):
-                for frozen, members in fibers(grid, p).fibers:
-                    if len(members) < 2:
-                        print(f"  warning: singleton fiber {frozen} along dimension {p}")
-            print("  capacity = n/a (degenerate fibers)")
+        defects = [(p, *bad) for p in range(1, grid.dim + 1) for bad in degenerate_fibers(grid, p)]
+        print(f"  convex fibers = {'no' if defects else 'yes'}")
+        for p, frozen, coords in defects:
+            kind = "singleton" if len(coords) < 2 else f"gapped (coordinates {coords})"
+            print(f"  warning: {kind} fiber {frozen} along dimension {p}")
+        print(f"  capacity = {'n/a (degenerate fibers)' if defects else capacity(grid)}")
     if len(grids) == 2:
         both = minkowski_sum(grids[0], grids[1])
         print(f"xi + upsilon: points = {len(both)}")

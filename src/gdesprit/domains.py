@@ -1,15 +1,24 @@
 """Integer-lattice domain algebra.
 
-An :class:`IndexSet` is a finite subset of Z^d held in one canonical order:
-points are compared by their reversed coordinate tuple (last coordinate
-first), so the first coordinate varies fastest.  On a box of side N this is
-exactly the vectorization m1 + m2*N + m3*N**2 + ..., which is what every
-structured matrix in this package is built on.  Dimensions are numbered
-1..d throughout the public API.
+An :class:`IndexSet` is a finite subset of Z^d held as one sorted,
+deduplicated, read-only ``(n, d)`` int64 array, ``as_array``, in canonical
+order: points are compared by their reversed coordinate tuple, so the first
+coordinate varies fastest.  On a box of side N this is exactly the
+vectorization m1 + m2*N + m3*N**2 + ..., on which every structured matrix is
+built.  ``points`` is the same set as int tuples.  Dimensions count from 1.
+
+Every point lookup is :meth:`IndexSet.locate`: each query coordinate is
+ranked among the set's distinct values along its dimension (a binary search,
+or an offset when they are contiguous), the ranks form a key over the set's
+bounding box with unused values squeezed out, and a binary search among the
+set's keys gives the position (a key is its position when the set fills the
+box).  Nothing is sized by box volume; the key count (at most that volume)
+must fit in int64, else a lookup raises :class:`DomainError`.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -17,23 +26,29 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DecompositionError, DegenerateFiberError, DomainError
+from .linalg_backend import _readonly
 
 Point = tuple[int, ...]
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
-def _as_point(raw, dim: int) -> Point:
-    if isinstance(raw, (int, np.integer)):
-        raw = (raw,)
-    pt = tuple(raw)
-    if len(pt) != dim:
-        raise DomainError(f"point {raw!r} does not have dimension {dim}")
-    out = []
-    for c in pt:
-        ci = int(c)
-        if ci != c:
-            raise DomainError(f"non-integer coordinate {c!r} in point {raw!r}")
-        out.append(ci)
-    return tuple(out)
+
+def _coords(raw, dim: int) -> np.ndarray:
+    """Points as one ``(n, dim)`` int64 array; anything else is a DomainError."""
+    try:
+        arr = np.asarray(raw)
+    except (TypeError, ValueError) as exc:  # ragged input
+        raise DomainError(f"points do not form an (n, {dim}) array: {exc}") from exc
+    if arr.ndim == 1 and dim == 1:
+        arr = arr[:, None]
+    if arr.size == 0:
+        raise DomainError("an index set must contain at least one point")
+    if arr.ndim != 2 or arr.shape[1] != dim:
+        raise DomainError(f"points of shape {arr.shape} do not have dimension {dim}")
+    whole = arr.dtype.kind in "fu" and np.all((arr == np.floor(arr)) & (np.abs(arr) < 2.0**63))
+    if not (arr.dtype.kind in "bi" or whole):
+        raise DomainError(f"coordinates must be integers within int64, got {arr.dtype} values")
+    return arr.astype(np.int64, copy=False)
 
 
 def canonical_order(points: Iterable[Sequence[int]]) -> list[Point]:
@@ -47,20 +62,17 @@ class IndexSet:
 
     dim: int
     points: tuple[Point, ...]
+    as_array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim < 1:
             raise DomainError(f"dimension must be at least 1, got {self.dim}")
-        pts = [_as_point(p, self.dim) for p in self.points]
-        if not pts:
-            raise DomainError("an index set must contain at least one point")
-        object.__setattr__(self, "points", tuple(canonical_order(pts)))
-
-    @cached_property
-    def as_array(self) -> np.ndarray:
-        arr = np.asarray(self.points, dtype=np.int64).reshape(len(self.points), self.dim)
+        arr = _coords(self.points, self.dim)
+        arr = arr[np.lexsort(arr.T)]
+        arr = arr[np.r_[True, (arr[1:] != arr[:-1]).any(axis=1)]]
         arr.setflags(write=False)
-        return arr
+        object.__setattr__(self, "as_array", arr)
+        object.__setattr__(self, "points", tuple(map(tuple, arr.tolist())))
 
     @cached_property
     def position(self) -> dict[Point, int]:
@@ -68,11 +80,44 @@ class IndexSet:
 
     @cached_property
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
-        lo = self.as_array.min(axis=0)
-        hi = self.as_array.max(axis=0)
-        lo.setflags(write=False)
-        hi.setflags(write=False)
-        return lo, hi
+        return _readonly(self.as_array.min(axis=0)), _readonly(self.as_array.max(axis=0))
+
+    @cached_property
+    def _keys(self) -> tuple[tuple[np.ndarray, ...], list[int], np.ndarray | None]:
+        """Distinct values and key stride per dimension, and the points' keys (None if dense)."""
+        axes, ranks = zip(*(np.unique(col, return_inverse=True) for col in self.as_array.T))
+        strides = [math.prod(len(a) for a in axes[:p]) for p in range(self.dim)]
+        volume = strides[-1] * len(axes[-1])
+        if volume > _INT64_MAX:
+            raise DomainError(f"this set's lookup keys span {volume} values, beyond int64")
+        keys = sum(r * s for r, s in zip(ranks, strides)) if volume > len(self) else None
+        return axes, strides, keys
+
+    def locate(self, coords: Iterable[np.ndarray]) -> np.ndarray:
+        """Positions of query points in the canonical order, -1 where absent.
+
+        ``coords`` holds one integer array per dimension, all of the result's
+        shape, read one at a time: a generator of per-dimension sums never
+        builds a ``(..., d)`` query array.
+        """
+        axes, strides, keys = self._keys
+        key, found = 0, True
+        try:
+            for axis, stride, c in zip(axes, strides, coords, strict=True):
+                if int(axis[-1]) - int(axis[0]) < len(axis):  # no unused values: rank = offset
+                    rank = c - axis[0]
+                    found = found & (rank >= 0) & (rank < len(axis))
+                else:
+                    rank = np.minimum(np.searchsorted(axis, c), len(axis) - 1)
+                    found = found & (axis[rank] == c)
+                key = key + rank * stride
+        except ValueError as exc:
+            raise DomainError(f"need {self.dim} coordinate arrays of one shape: {exc}") from exc
+        if keys is not None:
+            pos = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
+            found = found & (keys[pos] == key)
+            key = pos
+        return np.where(found, key, -1)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -82,13 +127,13 @@ class IndexSet:
 
     def __contains__(self, point) -> bool:
         try:
-            return _as_point(point, self.dim) in self.position
+            query = _coords((point,), self.dim)
         except DomainError:
             return False
+        return bool(self.locate(query.T)[0] >= 0)
 
     def translate(self, shift: Sequence[int]) -> "IndexSet":
-        sh = _as_point(shift, self.dim)
-        return IndexSet(self.dim, tuple(tuple(c + s for c, s in zip(p, sh)) for p in self.points))
+        return IndexSet(self.dim, self.as_array + _coords((shift,), self.dim))
 
 
 @dataclass(frozen=True)
@@ -126,12 +171,8 @@ def make_box(widths: Sequence[int], offset: Sequence[int] | None = None) -> Inde
         raise DomainError("a box needs at least one width")
     if any(w <= 0 for w in widths):
         raise DomainError(f"box widths must be positive, got {widths}")
-    d = len(widths)
-    if offset is None:
-        offset = (0,) * d
-    off = _as_point(offset, d)
-    grids = np.indices(widths).reshape(d, -1).T + np.asarray(off)
-    return IndexSet(d, tuple(map(tuple, grids.tolist())))
+    off = 0 if offset is None else _coords((offset,), len(widths))
+    return IndexSet(len(widths), np.indices(widths).reshape(len(widths), -1).T + off)
 
 
 def make_shape(spec: Mapping) -> IndexSet:
@@ -148,30 +189,24 @@ def make_shape(spec: Mapping) -> IndexSet:
         if side is None or int(side) != side or int(side) < 1:
             raise DomainError(f"triangle needs a positive integer side, got {side!r}")
         side = int(side)
-        pts = [(i, j) for j in range(1, side + 1) for i in range(1, side + 2 - j)]
-        return IndexSet(2, tuple(pts))
+        return IndexSet(2, [(i, j) for j in range(1, side + 1) for i in range(1, side + 2 - j)])
     if kind == "half_disc":
         radius = spec.get("radius")
         if radius is None or radius < 0:
             raise DomainError(f"half_disc needs a nonnegative radius, got {radius!r}")
-        r2 = float(radius) ** 2
         rmax = int(np.floor(float(radius)))
-        pts = [
-            (i, j)
-            for j in range(0, rmax + 1)
-            for i in range(-rmax, rmax + 1)
-            if i * i + j * j <= r2
-        ]
-        if not pts:
+        i, j = np.meshgrid(np.arange(-rmax, rmax + 1), np.arange(rmax + 1))
+        inside = i * i + j * j <= float(radius) ** 2
+        if not inside.any():
             raise DomainError(f"half_disc of radius {radius!r} contains no lattice points")
-        return IndexSet(2, tuple(pts))
+        return IndexSet(2, np.stack([i[inside], j[inside]], axis=1))
     if kind == "mask":
         pts = spec.get("points")
         if not pts:
             raise DomainError("mask descriptor needs a nonempty point list")
         first = pts[0]
         d = 1 if isinstance(first, (int, np.integer)) else len(tuple(first))
-        return IndexSet(d, tuple(_as_point(p, d) for p in pts))
+        return IndexSet(d, pts)
     raise DomainError(f"unknown shape kind {kind!r}")
 
 
@@ -180,8 +215,7 @@ def minkowski_sum(a: IndexSet, b: IndexSet) -> IndexSet:
     if a.dim != b.dim:
         raise DomainError(f"dimension mismatch: {a.dim} vs {b.dim}")
     sums = a.as_array[:, None, :] + b.as_array[None, :, :]
-    flat = sums.reshape(-1, a.dim)
-    return IndexSet(a.dim, tuple(map(tuple, np.unique(flat, axis=0).tolist())))
+    return IndexSet(a.dim, sums.reshape(-1, a.dim))
 
 
 def erode(omega: IndexSet, xi: IndexSet) -> IndexSet:
@@ -192,48 +226,53 @@ def erode(omega: IndexSet, xi: IndexSet) -> IndexSet:
     """
     if omega.dim != xi.dim:
         raise DomainError(f"dimension mismatch: {omega.dim} vs {xi.dim}")
-    members = set(omega.points)
-    anchor = xi.points[0]
-    candidates = {tuple(o - a for o, a in zip(w, anchor)) for w in omega.points}
-    kept = [
-        y
-        for y in candidates
-        if all(tuple(yc + xc for yc, xc in zip(y, x)) in members for x in xi.points)
-    ]
-    if not kept:
+    kept = omega.as_array - xi.as_array[0]
+    for x in xi.as_array[1:]:
+        kept = kept[omega.locate((kept + x).T) >= 0]
+    if not len(kept):
         raise DecompositionError(
             "erosion is empty: no translate of the structure grid fits inside the sampling domain"
         )
-    return IndexSet(omega.dim, tuple(kept))
+    return IndexSet(omega.dim, kept)
+
+
+def _fiber_pass(xi: IndexSet, p: int):
+    """Fibers along ``p`` (1-based) from one lexsort: positions fiber by fiber
+    (members by increasing varying coordinate), each fiber's first and last
+    offset there, and :func:`degenerate_fibers`."""
+    if not 1 <= p <= xi.dim:
+        raise DomainError(f"dimension p must be in 1..{xi.dim}, got {p}")
+    arr = xi.as_array
+    frozen = np.delete(arr, p - 1, axis=1)
+    order = np.lexsort((arr[:, p - 1], *frozen.T))
+    frozen, coord = frozen[order], arr[order, p - 1]
+    first = np.flatnonzero(np.r_[True, (frozen[1:] != frozen[:-1]).any(axis=1)])
+    last = np.r_[first[1:], len(order)] - 1
+    count = last - first + 1
+    bad = np.flatnonzero((count < 2) | (coord[last] - coord[first] != count - 1))
+    defects = [
+        (tuple(frozen[first[f]].tolist()), coord[first[f] : last[f] + 1].tolist()) for f in bad
+    ]
+    return order, first, last, defects
 
 
 def fibers(xi: IndexSet, p: int) -> FiberDecomposition:
     """Decompose ``xi`` into fibers along dimension ``p`` (1-based)."""
-    if not 1 <= p <= xi.dim:
-        raise DomainError(f"dimension p must be in 1..{xi.dim}, got {p}")
-    ax = p - 1
-    groups: dict[Point, list[int]] = {}
-    for idx, pt in enumerate(xi.points):
-        frozen = pt[:ax] + pt[ax + 1 :]
-        groups.setdefault(frozen, []).append(idx)
-    ordered = []
-    for frozen in sorted(groups, key=lambda t: t[::-1]):
-        members = sorted(groups[frozen], key=lambda i: xi.points[i][ax])
-        ordered.append((frozen, tuple(members)))
-    return FiberDecomposition(dimension_p=p, fibers=tuple(ordered))
+    order, first, _, _ = _fiber_pass(xi, p)
+    frozen = np.delete(xi.as_array[order[first]], p - 1, axis=1).tolist()
+    groups = zip(frozen, np.split(order, first[1:]))
+    return FiberDecomposition(p, tuple((tuple(fz), tuple(m.tolist())) for fz, m in groups))
+
+
+def degenerate_fibers(xi: IndexSet, p: int) -> list[tuple[Point, list[int]]]:
+    """Every singleton or gapped fiber along ``p`` as (frozen coordinates,
+    varying coordinates); empty exactly when :func:`deletion_masks` succeeds."""
+    return _fiber_pass(xi, p)[3]
 
 
 def check_convex_fibers(xi: IndexSet) -> bool:
-    """True when every fiber in every dimension is gap-free and not a singleton."""
-    for p in range(1, xi.dim + 1):
-        ax = p - 1
-        for _, members in fibers(xi, p).fibers:
-            if len(members) < 2:
-                return False
-            coords = [xi.points[i][ax] for i in members]
-            if any(b - a != 1 for a, b in zip(coords, coords[1:])):
-                return False
-    return True
+    """True when :func:`deletion_masks` succeeds in every dimension."""
+    return not any(degenerate_fibers(xi, p) for p in range(1, xi.dim + 1))
 
 
 def deletion_masks(xi: IndexSet, p: int) -> DeletionMasks:
@@ -242,27 +281,15 @@ def deletion_masks(xi: IndexSet, p: int) -> DeletionMasks:
     Every fiber must be contiguous with at least two members; a singleton or
     gapped fiber raises :class:`DegenerateFiberError` naming the fiber.
     """
-    dec = fibers(xi, p)
-    ax = p - 1
-    drop_last: set[int] = set()
-    drop_first: set[int] = set()
-    for frozen, members in dec.fibers:
-        if len(members) < 2:
-            raise DegenerateFiberError(
-                f"fiber {frozen} along dimension {p} is a singleton; "
-                "the unit shift has nowhere to go",
-                fiber=frozen,
-                dimension=p,
-            )
-        coords = [xi.points[i][ax] for i in members]
-        if any(b - a != 1 for a, b in zip(coords, coords[1:])):
-            raise DegenerateFiberError(
-                f"fiber {frozen} along dimension {p} has gaps: coordinates {coords}",
-                fiber=frozen,
-                dimension=p,
-            )
-        drop_last.add(members[-1])
-        drop_first.add(members[0])
-    keep_minus = tuple(i for i in range(len(xi)) if i not in drop_last)
-    keep_plus = tuple(i for i in range(len(xi)) if i not in drop_first)
+    order, first, last, defects = _fiber_pass(xi, p)
+    if defects:
+        frozen, coords = defects[0]
+        gaps = f"has gaps: coordinates {coords}"
+        problem = gaps if len(coords) > 1 else "is a singleton; the unit shift has nowhere to go"
+        raise DegenerateFiberError(
+            f"fiber {frozen} along dimension {p} {problem}", fiber=frozen, dimension=p
+        )
+    keep = np.ones((2, len(xi)), dtype=bool)
+    keep[0, order[last]] = keep[1, order[first]] = False
+    keep_minus, keep_plus = (tuple(np.flatnonzero(k).tolist()) for k in keep)
     return DeletionMasks(dimension_p=p, keep_minus=keep_minus, keep_plus=keep_plus)

@@ -48,36 +48,13 @@ def build_hankel(f: MdSequence, xi: IndexSet, upsilon: IndexSet) -> GdHankel:
         raise DomainError(
             f"dimension mismatch: samples {d}, rows {xi.dim}, columns {upsilon.dim}"
         )
-    lo, hi = f.domain.bounding_box
-    extent = (hi - lo + 1).astype(np.int64)
-    table = np.full(int(extent.prod()), -1, dtype=np.int64)
-    omega_keys = np.zeros(len(f.domain), dtype=np.int64)
-    for p in range(d):
-        omega_keys = omega_keys * extent[p] + (f.domain.as_array[:, p] - lo[p])
-    table[omega_keys] = np.arange(len(f.domain))
-
     xs, ys = xi.as_array, upsilon.as_array
-    keys = np.zeros((len(xi), len(upsilon)), dtype=np.int64)
-    inside = np.ones((len(xi), len(upsilon)), dtype=bool)
-    for p in range(d):
-        sums = xs[:, p, None] + ys[None, :, p]
-        inside &= (sums >= lo[p]) & (sums <= hi[p])
-        keys = keys * extent[p] + (sums - lo[p])
-
-    def _first_missing(mask: np.ndarray):
-        n, m = np.argwhere(mask)[0]
-        missing = tuple(int(c) for c in xs[n] + ys[m])
-        raise CoverageError(
-            f"sample at index {missing} is required by the structured matrix "
-            "but was not provided",
-            missing=missing,
-        )
-
-    if not inside.all():
-        _first_missing(~inside)
-    idx = table[keys]
+    idx = f.domain.locate(xs[:, None, p] + ys[None, :, p] for p in range(d))
     if (idx < 0).any():
-        _first_missing(idx < 0)
+        n, m = np.argwhere(idx < 0)[0]
+        missing = tuple((xs[n] + ys[m]).tolist())
+        problem = "is required by the structured matrix but was not provided"
+        raise CoverageError(f"sample at index {missing} {problem}", missing=missing)
     return GdHankel(matrix=_readonly(f.values[idx]), xi=xi, upsilon=upsilon)
 
 

@@ -93,11 +93,10 @@ class MdSequence:
         """Samples restricted to ``sub``, which must lie inside the domain."""
         if sub.dim != self.domain.dim:
             raise DomainError(f"dimension mismatch: {sub.dim} vs {self.domain.dim}")
-        pos = self.domain.position
-        try:
-            idx = [pos[p] for p in sub.points]
-        except KeyError as exc:
-            raise DomainError(f"point {exc.args[0]} is not in the sampled domain") from exc
+        idx = self.domain.locate(sub.as_array.T)
+        if (idx < 0).any():
+            missing = sub.points[int(np.argmax(idx < 0))]
+            raise DomainError(f"point {missing} is not in the sampled domain")
         return MdSequence(sub, self.values[idx])
 
 

@@ -8,6 +8,7 @@ root finding), so that agreement with the package is meaningful.
 from __future__ import annotations
 
 import cmath
+import functools
 
 import numpy as np
 
@@ -111,6 +112,36 @@ def block_hankel_ref(tensor, N):
             ym = unrank(m)
             H[n, m] = arr[tuple(a + b for a, b in zip(xn, ym))]
     return H
+
+
+def cube_esprit_ref(tensor, N, K, seed=0):
+    """Kronecker-structured ESPRIT on a d-cube of samples; (K, d) nodes.
+
+    ``tensor`` has side 2N-1 in every dimension, coordinate 1 on the first
+    axis.  The signal subspace is the top K left singular vectors of
+    ``block_hankel_ref(tensor, N)``.  The unit shift along dimension p uses
+    the selection matrices I x ... x [I_{N-1} 0] x ... x I and
+    I x ... x [0 I_{N-1}] x ... x I (Kronecker factors from dimension d down
+    to 1, since coordinate 1 varies fastest), one ``lstsq`` per dimension.
+    The shift matrices are diagonalized together by the eigenvectors of a
+    random real combination of them.
+    """
+    arr = np.asarray(tensor)
+    d = arr.ndim
+    U = np.linalg.svd(block_hankel_ref(arr, N))[0][:, :K]
+    eye = np.eye(N)
+
+    def select(p, J):
+        return functools.reduce(np.kron, [J if q == p else eye for q in reversed(range(d))])
+
+    shifts = [
+        np.linalg.lstsq(select(p, eye[:-1]) @ U, select(p, eye[1:]) @ U, rcond=None)[0]
+        for p in range(d)
+    ]
+    combo = np.random.default_rng(seed).standard_normal(d)
+    _, T = np.linalg.eig(sum(c * A for c, A in zip(combo, shifts)))
+    T_inv = np.linalg.inv(T)
+    return np.stack([np.diag(T_inv @ A @ T) for A in shifts], axis=1)
 
 
 def eval_ref(zetas, coeffs, points):

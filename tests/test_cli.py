@@ -171,6 +171,24 @@ class TestEstimate:
         truth = serialize.model_from_dict(serialize.load_json(model_path))
         assert match_frequencies(truth.nodes, est.nodes).lambda_errors.max() < 1e-8
 
+    @pytest.mark.parametrize("far", [10**6, 2**40])
+    def test_far_sample_point(self, tmp_path, capsys, far):
+        # a 5x5 box plus one distant sample: no lookup may allocate by the
+        # volume of the bounding box (terabytes here)
+        mask = tmp_path / "pts.json"
+        serialize.dump_json([[i, j] for j in range(5) for i in range(5)] + [[far, far]], mask)
+        samples_path, model_path = synth(tmp_path, grid=f"mask:{mask}", order=2, seed=1)
+        report_path = tmp_path / "report.json"
+        code = run_cli(
+            "estimate", str(samples_path), "--xi", "box:3,3", "--upsilon", "box:3,3",
+            "--order", "2", "--out", str(report_path),
+        )
+        assert code == 0
+        assert "Traceback" not in capsys.readouterr().err
+        est = serialize.model_from_dict(serialize.load_json(report_path)["model"])
+        truth = serialize.model_from_dict(serialize.load_json(model_path))
+        assert match_frequencies(truth.nodes, est.nodes).lambda_errors.max() < 1e-8
+
     @pytest.mark.parametrize(
         "extra",
         [
@@ -293,6 +311,16 @@ class TestDomainInfo:
         assert "convex fibers = no" in out
         assert "capacity = n/a" in out
         assert "singleton fiber" in out
+
+    def test_gapped_fiber_named(self, tmp_path, capsys):
+        mask = tmp_path / "gap.json"
+        serialize.dump_json([[0, 0], [2, 0], [0, 1], [1, 1], [2, 1]], mask)
+        assert run_cli("domain-info", f"mask:{mask}") == 0
+        out = capsys.readouterr().out
+        assert "convex fibers = no" in out
+        assert "gapped (coordinates [0, 2]) fiber (0,) along dimension 1" in out
+        assert "singleton fiber (1,) along dimension 2" in out
+        assert "capacity = n/a" in out
 
     def test_too_many_grids(self, capsys):
         code = run_cli("domain-info", "box:2", "box:2", "box:2")

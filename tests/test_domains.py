@@ -8,11 +8,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from strategies import index_sets, point_lists, run_domains
+from strategies import index_sets, point_lists, points, run_domains
 from gdesprit.domains import (
     IndexSet,
     canonical_order,
     check_convex_fibers,
+    degenerate_fibers,
     deletion_masks,
     erode,
     fibers,
@@ -101,6 +102,65 @@ class TestIndexSet:
 
     def test_one_dimensional_points_accept_bare_ints(self):
         assert IndexSet(1, (3, 1, 2)).points == ((1,), (2,), (3,))
+
+    def test_rejects_ragged_points(self):
+        with pytest.raises(DomainError):
+            IndexSet(2, ((1, 2), (3,)))
+
+    def test_rejects_coordinates_beyond_int64(self):
+        with pytest.raises(DomainError):
+            IndexSet(1, ((2**63,),))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_extreme_coordinates(self, d):
+        # corners of the cube [-2^62, 2^62]^d plus points next to them: the
+        # bounding box is wider than int64, so an order or lookup built on
+        # keys over the whole box would overflow
+        big = 2**62
+        corners = [tuple(big if (k >> q) & 1 else -big for q in range(d)) for k in range(2**d)]
+        near = [tuple(c - (1 if c > 0 else -1) * (q + 1) for q, c in enumerate(p)) for p in corners]
+        pts = corners + near + [(0,) * d, corners[0]]
+        xi = IndexSet(d, tuple(pts))
+        assert list(xi.points) == oracles.canonical_sort_ref(pts)
+        for i, p in enumerate(xi.points):
+            assert p in xi
+            assert xi.position[p] == i
+        assert (big - 7,) * d not in xi
+        assert ((1,) + (-big,) * (d - 1)) not in xi
+        assert xi.locate(xi.as_array.T).tolist() == list(range(len(xi)))
+        # a box in the corner fills its key grid: ranks are offsets from -2^62
+        box = make_box((2,) * d, offset=(-big,) * d)
+        assert box.locate(box.as_array.T).tolist() == list(range(2**d))
+        assert (-big - 1,) * d not in box and (big,) * d not in box
+
+
+class TestLocate:
+    @given(index_sets(dim=2), st.lists(points(2), min_size=1, max_size=10))
+    def test_matches_position(self, xi, queries):
+        got = xi.locate(np.array(queries).T)
+        assert got.tolist() == [xi.position.get(q, -1) for q in queries]
+
+    def test_keeps_query_shape(self):
+        xi = make_box((3, 3))
+        xs = np.array([[0, 1], [2, 3]])
+        ys = np.array([[0, 0], [2, -1]])
+        assert xi.locate([xs, ys]).tolist() == [[0, 1], [8, -1]]
+
+    def test_sparse_set(self):
+        # a point far from the rest: nothing is sized by the bounding box
+        far = 2**40
+        xi = IndexSet(2, ((0, 0), (1, 0), (far, far)))
+        assert xi.locate([np.array([far, far, 0]), np.array([far, 0, far])]).tolist() == [2, -1, -1]
+
+    def test_wrong_number_of_coordinate_arrays(self):
+        with pytest.raises(DomainError):
+            make_box((2, 2)).locate([np.array([0])])
+
+    def test_key_count_beyond_int64_raises(self):
+        # two points that differ in all 64 coordinates span 2^64 keys
+        xi = IndexSet(64, ((0,) * 64, (1,) * 64))
+        with pytest.raises(DomainError):
+            xi.locate(np.zeros((64, 1), dtype=np.int64))
 
 
 class TestShapes:
@@ -319,6 +379,21 @@ class TestDeletionMasks:
         xi = IndexSet(2, ((0, 0), (2, 0), (0, 1), (1, 1), (2, 1)))
         with pytest.raises(DegenerateFiberError):
             deletion_masks(xi, 1)
+
+    def test_degenerate_fibers_lists_each_defect(self):
+        xi = IndexSet(2, ((0, 0), (2, 0), (0, 1), (1, 1), (2, 1)))
+        assert degenerate_fibers(xi, 1) == [((0,), [0, 2])]
+        assert degenerate_fibers(xi, 2) == [((1,), [1])]
+        assert degenerate_fibers(make_box((3, 2)), 1) == []
+
+    @given(index_sets(dim=2, max_size=10), st.integers(1, 2))
+    def test_degenerate_fibers_match_reference(self, xi, p):
+        expected = [
+            (frozen, [m[p - 1] for m in members])
+            for frozen, members in oracles.fibers_ref(xi.points, p).items()
+            if not oracles.convex_fibers_ref(members, p)
+        ]
+        assert degenerate_fibers(xi, p) == sorted(expected, key=lambda e: e[0][::-1])
 
     @given(run_domains(1))
     def test_mask_size_formula(self, xi):
