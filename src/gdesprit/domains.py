@@ -8,17 +8,21 @@ vectorization m1 + m2*N + m3*N**2 + ..., on which every structured matrix is
 built.  ``points`` is the same set as int tuples.  Dimensions count from 1.
 
 Every point lookup is :meth:`IndexSet.locate`: each query coordinate is
-ranked among the set's distinct values along its dimension (a binary search,
-or an offset when they are contiguous), the ranks form a key over the set's
-bounding box with unused values squeezed out, and a binary search among the
-set's keys gives the position (a key is its position when the set fills the
-box).  Nothing is sized by box volume; the key count (at most that volume)
-must fit in int64, else a lookup raises :class:`DomainError`.
+ranked among the set's distinct values along its dimension by binary search,
+the ranks form a key over the set's bounding box with unused values squeezed
+out (last dimension most significant, so keys follow the canonical order), and
+a binary search among the points' keys gives the position.  Nothing is sized
+by box volume.  Where the key count of the leading dimensions would pass
+int64, the running key is first replaced by its rank among the set's own keys
+of those dimensions, so every set can be looked up.
+
+Coordinate sums (boxes, translation, Minkowski sum, erosion, structured matrices) are
+int64 array arithmetic; each is first checked on the bounding boxes, and a sum
+that would leave int64 raises :class:`DomainError` instead of wrapping.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -30,7 +34,7 @@ from .linalg_backend import _readonly
 
 Point = tuple[int, ...]
 
-_INT64_MAX = int(np.iinfo(np.int64).max)
+_INT64 = np.iinfo(np.int64)
 
 
 def _coords(raw, dim: int) -> np.ndarray:
@@ -49,6 +53,23 @@ def _coords(raw, dim: int) -> np.ndarray:
     if not (arr.dtype.kind in "bi" or whole):
         raise DomainError(f"coordinates must be integers within int64, got {arr.dtype} values")
     return arr.astype(np.int64, copy=False)
+
+
+def _check_sums(*boxes) -> None:
+    """Raise DomainError unless every sum of one point from each ``(lo, hi)``
+    box lies inside int64; the bounds are added as Python ints, so the check
+    itself cannot wrap."""
+    for bounds in zip(*boxes):  # all lower bounds, then all upper bounds
+        total = [sum(map(int, c)) for c in zip(*bounds)]
+        if not all(_INT64.min <= t <= _INT64.max for t in total):
+            raise DomainError(f"coordinate sums reach {total}, beyond int64")
+
+
+def _search(values: np.ndarray, query, found):
+    """Index of each query in the sorted array ``values`` (clipped into it),
+    and ``found`` narrowed to the queries that are there."""
+    at = np.minimum(np.searchsorted(values, query), len(values) - 1)
+    return at, found & (values[at] == query)
 
 
 def canonical_order(points: Iterable[Sequence[int]]) -> list[Point]:
@@ -83,15 +104,20 @@ class IndexSet:
         return _readonly(self.as_array.min(axis=0)), _readonly(self.as_array.max(axis=0))
 
     @cached_property
-    def _keys(self) -> tuple[tuple[np.ndarray, ...], list[int], np.ndarray | None]:
-        """Distinct values and key stride per dimension, and the points' keys (None if dense)."""
-        axes, ranks = zip(*(np.unique(col, return_inverse=True) for col in self.as_array.T))
-        strides = [math.prod(len(a) for a in axes[:p]) for p in range(self.dim)]
-        volume = strides[-1] * len(axes[-1])
-        if volume > _INT64_MAX:
-            raise DomainError(f"this set's lookup keys span {volume} values, beyond int64")
-        keys = sum(r * s for r, s in zip(ranks, strides)) if volume > len(self) else None
-        return axes, strides, keys
+    def _levels(self) -> tuple[list[tuple[np.ndarray | None, np.ndarray, int]], np.ndarray]:
+        """The lookup tables: per dimension, the sorted prefix keys to squeeze
+        the running key to first (None while it fits in int64), the distinct
+        values and the key stride; then the points' keys, in canonical order."""
+        levels, key, count = [], 0, 1
+        for col in self.as_array.T:
+            axis, rank = np.unique(col, return_inverse=True)
+            squeeze = None
+            if count * len(axis) > _INT64.max:
+                squeeze, key = np.unique(key, return_inverse=True)
+                count = len(squeeze)
+            levels.append((squeeze, axis, count))
+            key, count = key + rank * count, count * len(axis)
+        return levels, key
 
     def locate(self, coords: Iterable[np.ndarray]) -> np.ndarray:
         """Positions of query points in the canonical order, -1 where absent.
@@ -100,24 +126,18 @@ class IndexSet:
         shape, read one at a time: a generator of per-dimension sums never
         builds a ``(..., d)`` query array.
         """
-        axes, strides, keys = self._keys
+        levels, keys = self._levels
         key, found = 0, True
         try:
-            for axis, stride, c in zip(axes, strides, coords, strict=True):
-                if int(axis[-1]) - int(axis[0]) < len(axis):  # no unused values: rank = offset
-                    rank = c - axis[0]
-                    found = found & (rank >= 0) & (rank < len(axis))
-                else:
-                    rank = np.minimum(np.searchsorted(axis, c), len(axis) - 1)
-                    found = found & (axis[rank] == c)
+            for (squeeze, axis, stride), c in zip(levels, coords, strict=True):
+                if squeeze is not None:
+                    key, found = _search(squeeze, key, found)
+                rank, found = _search(axis, c, found)
                 key = key + rank * stride
         except ValueError as exc:
             raise DomainError(f"need {self.dim} coordinate arrays of one shape: {exc}") from exc
-        if keys is not None:
-            pos = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
-            found = found & (keys[pos] == key)
-            key = pos
-        return np.where(found, key, -1)
+        pos, found = _search(keys, key, found)
+        return np.where(found, pos, -1)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -133,7 +153,9 @@ class IndexSet:
         return bool(self.locate(query.T)[0] >= 0)
 
     def translate(self, shift: Sequence[int]) -> "IndexSet":
-        return IndexSet(self.dim, self.as_array + _coords((shift,), self.dim))
+        shift = _coords((shift,), self.dim)[0]
+        _check_sums(self.bounding_box, (shift, shift))
+        return IndexSet(self.dim, self.as_array + shift)
 
 
 @dataclass(frozen=True)
@@ -171,7 +193,8 @@ def make_box(widths: Sequence[int], offset: Sequence[int] | None = None) -> Inde
         raise DomainError("a box needs at least one width")
     if any(w <= 0 for w in widths):
         raise DomainError(f"box widths must be positive, got {widths}")
-    off = 0 if offset is None else _coords((offset,), len(widths))
+    off = np.zeros(len(widths), np.int64) if offset is None else _coords((offset,), len(widths))[0]
+    _check_sums((off, off), ([0] * len(widths), [w - 1 for w in widths]))
     return IndexSet(len(widths), np.indices(widths).reshape(len(widths), -1).T + off)
 
 
@@ -214,6 +237,7 @@ def minkowski_sum(a: IndexSet, b: IndexSet) -> IndexSet:
     """Pointwise sum set {x + y : x in a, y in b}."""
     if a.dim != b.dim:
         raise DomainError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    _check_sums(a.bounding_box, b.bounding_box)
     sums = a.as_array[:, None, :] + b.as_array[None, :, :]
     return IndexSet(a.dim, sums.reshape(-1, a.dim))
 
@@ -222,10 +246,15 @@ def erode(omega: IndexSet, xi: IndexSet) -> IndexSet:
     """Largest set Y with Y + xi contained in omega.
 
     Raises :class:`DecompositionError` when no translate of ``xi`` fits
-    inside ``omega``.
+    inside ``omega``, and :class:`DomainError` when the candidates
+    ``omega - xi[0] + x`` (x in ``xi``) can leave int64, judged on the
+    bounding boxes.
     """
     if omega.dim != xi.dim:
         raise DomainError(f"dimension mismatch: {omega.dim} vs {xi.dim}")
+    shift = [-int(c) for c in xi.as_array[0]]
+    _check_sums(omega.bounding_box, (shift, shift))  # the candidates
+    _check_sums(omega.bounding_box, (shift, shift), xi.bounding_box)  # their translates
     kept = omega.as_array - xi.as_array[0]
     for x in xi.as_array[1:]:
         kept = kept[omega.locate((kept + x).T) >= 0]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import IndexSet, deletion_masks
+from .domains import IndexSet, _check_sums, deletion_masks
 from .errors import CoverageError, DomainError
 from .linalg_backend import _readonly
 from .signal import MdSequence
@@ -48,6 +48,7 @@ def build_hankel(f: MdSequence, xi: IndexSet, upsilon: IndexSet) -> GdHankel:
         raise DomainError(
             f"dimension mismatch: samples {d}, rows {xi.dim}, columns {upsilon.dim}"
         )
+    _check_sums(xi.bounding_box, upsilon.bounding_box)
     xs, ys = xi.as_array, upsilon.as_array
     idx = f.domain.locate(xs[:, None, p] + ys[None, :, p] for p in range(d))
     if (idx < 0).any():

@@ -128,7 +128,7 @@ class TestIndexSet:
         assert (big - 7,) * d not in xi
         assert ((1,) + (-big,) * (d - 1)) not in xi
         assert xi.locate(xi.as_array.T).tolist() == list(range(len(xi)))
-        # a box in the corner fills its key grid: ranks are offsets from -2^62
+        # a box in the corner of the cube
         box = make_box((2,) * d, offset=(-big,) * d)
         assert box.locate(box.as_array.T).tolist() == list(range(2**d))
         assert (-big - 1,) * d not in box and (big,) * d not in box
@@ -156,11 +156,57 @@ class TestLocate:
         with pytest.raises(DomainError):
             make_box((2, 2)).locate([np.array([0])])
 
-    def test_key_count_beyond_int64_raises(self):
-        # two points that differ in all 64 coordinates span 2^64 keys
-        xi = IndexSet(64, ((0,) * 64, (1,) * 64))
+    def test_key_count_beyond_int64(self):
+        # three points that together differ in all 64 coordinates: the keys
+        # of all 64 dimensions would span 2^64 values, so the lookup squeezes
+        # its running key on the way; membership stays a plain bool
+        pts = ((0,) * 64, (1,) * 64, (0,) * 63 + (1,))
+        xi = IndexSet(64, pts)
+        assert xi.locate(xi.as_array.T).tolist() == [0, 1, 2]
+        for p in pts:
+            assert p in xi
+            assert xi.position[p] == xi.points.index(p)
+        for absent in ((1,) + (0,) * 63, (0,) * 62 + (1, 1), (1,) * 63 + (0,)):
+            assert absent not in xi
+        queries = np.array([(1,) * 63 + (0,), (0,) * 63 + (1,)]).T
+        assert xi.locate(queries).tolist() == [-1, 1]
+
+
+class TestInt64Sums:
+    # coordinate sums that would leave int64 must raise, not wrap around
+    big = 2**62
+
+    def test_translate(self):
+        xi = IndexSet(1, ((self.big,),))
+        assert xi.translate((self.big - 1,)).points == ((2**63 - 1,),)
         with pytest.raises(DomainError):
-            xi.locate(np.zeros((64, 1), dtype=np.int64))
+            xi.translate((self.big,))
+        with pytest.raises(DomainError):
+            IndexSet(1, ((-self.big,),)).translate((-self.big - 1,))
+
+    def test_minkowski_sum(self):
+        a = IndexSet(2, ((0, self.big), (1, 0)))
+        assert minkowski_sum(a, IndexSet(2, ((0, self.big - 1),))).points == (
+            (1, self.big - 1), (0, 2**63 - 1)
+        )
+        with pytest.raises(DomainError):
+            minkowski_sum(a, a)
+
+    def test_box(self):
+        assert make_box((2,), offset=(2**63 - 2,)).points == ((2**63 - 2,), (2**63 - 1,))
+        with pytest.raises(DomainError):
+            make_box((2,), offset=(2**63 - 1,))
+
+    def test_erode(self):
+        # omega - xi[0] + 1 would wrap 2^63 - 1 onto -2^63, a point of omega
+        omega = IndexSet(1, ((2**63 - 1,), (-(2**63),)))
+        with pytest.raises((DecompositionError, DomainError)):
+            erode(omega, make_box((2,)))
+        # omega - xi[0] alone would wrap
+        with pytest.raises((DecompositionError, DomainError)):
+            erode(IndexSet(1, ((-(2**63),),)), IndexSet(1, ((1,),)))
+        edge = IndexSet(1, ((2**63 - 3,), (2**63 - 2,)))
+        assert erode(edge, make_box((2,))).points == ((2**63 - 3,),)
 
 
 class TestShapes:

@@ -54,6 +54,13 @@ class TestBuildHankel:
         H2 = build_hankel(f, upsilon, xi).matrix
         np.testing.assert_array_equal(H1, H2.T)
 
+    def test_sums_beyond_int64_raise(self):
+        # x + y = 2^63 would wrap onto -2^63, a sampled point
+        omega = IndexSet(1, ((-(2**63),), (0,)))
+        f = sampled_on(omega)
+        with pytest.raises(DomainError):
+            build_hankel(f, IndexSet(1, ((2**62,),)), IndexSet(1, ((2**62,),)))
+
     def test_1d_specialization_is_classical_hankel(self):
         omega = make_box((9,))
         f = sampled_on(omega, 4)
