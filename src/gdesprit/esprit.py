@@ -3,7 +3,9 @@
 The column span of the top singular vectors of a sum-indexed sample matrix
 is also spanned by the node-power columns, so deleting rows on either end of
 every fiber and solving a least-squares problem yields, per dimension p, a
-small matrix A_p whose eigenvalues are the p-th node coordinates.
+small matrix A_p whose eigenvalues are the p-th node coordinates.  The
+singular vectors are orthonormal, so that least-squares problem reduces
+(Woodbury) to a square system with one row per fiber.
 
 :func:`esprit_nd` is the one estimation pipeline; it works on arbitrary
 convex-fiber row grids.  All A_p are put into a single eigenbasis computed
@@ -36,6 +38,7 @@ from .errors import (
     ModelOrderError,
     NonFiniteError,
     PairingError,
+    RankDeficiencyError,
 )
 from .hankel import DEFAULT_RANK_REL_TOL, build_hankel
 from .linalg_backend import _readonly
@@ -44,6 +47,10 @@ from .signal import ExponentialModel, MdSequence, vandermonde
 # Condition estimate of the coefficient system beyond which the recovered
 # coefficients are flagged as unreliable.
 COEFF_COND_LIMIT = 1e12
+
+# Allowed Frobenius distance of U^* U from the identity in shift_matrix, in
+# units of eps times the larger dimension of U.
+ORTHONORMAL_TOL_ULPS = 100
 
 # Eigenvalues of the combined shift matrix closer than this fraction of the
 # spectral radius trigger a redraw of the combination.
@@ -173,31 +180,59 @@ def recover_coeffs(f: MdSequence, nodes: np.ndarray) -> np.ndarray:
 
 
 def _shift_from_masks(U: np.ndarray, masks: DeletionMasks) -> np.ndarray:
-    U = np.asarray(U, dtype=np.complex128)
-    if len(masks.keep_minus) < U.shape[1]:
-        raise CapacityError(
-            f"subspace has {U.shape[1]} columns but only {len(masks.keep_minus)} rows "
-            f"survive the deletion along dimension {masks.dimension_p}",
-            capacity=len(masks.keep_minus),
-            requested=U.shape[1],
-        )
-    rows_minus = U[np.asarray(masks.keep_minus)]
-    rows_plus = U[np.asarray(masks.keep_plus)]
-    return lb.lstsq(rows_minus, rows_plus)
+    # U has orthonormal columns, so with W the rows that keep_minus drops
+    # (the last member of every fiber), U_-^* U_- = I - W^* W and by Woodbury
+    # the least-squares solution of U_- A = U_+ is
+    # A = G + W^* (I - W W^*)^{-1} W G with G = U_-^* U_+.
+    minus = np.asarray(masks.keep_minus)
+    dropped = np.ones(U.shape[0], dtype=bool)
+    dropped[minus] = False
+    W = U[dropped]
+    G = U[minus].conj().T @ U[np.asarray(masks.keep_plus)]
+    gram = np.eye(W.shape[0]) - W @ W.conj().T
+    try:
+        correction = lb.lstsq(gram, W @ G)
+    except RankDeficiencyError as err:
+        # the null spaces of I - W W^* and U_-^* U_- have the same dimension
+        rank = U.shape[1] - (W.shape[0] - err.rank)
+        raise RankDeficiencyError(
+            f"rows kept along dimension {masks.dimension_p} have numerical rank "
+            f"{rank} < {U.shape[1]} subspace columns",
+            rank=rank,
+        ) from err
+    return G + W.conj().T @ correction
 
 
 def shift_matrix(U: np.ndarray, xi: IndexSet, p: int) -> np.ndarray:
     """Shift matrix A_p of the subspace U along dimension p (1-based).
 
-    U must have one row per point of ``xi`` in canonical order.  The result
-    satisfies U_minus @ A_p = U_plus in the least-squares sense, where the
-    two row selections drop the last (respectively first) member of every
-    fiber along dimension p.
+    U must have orthonormal columns (such as the leading left singular
+    vectors of a sample matrix) and one row per point of ``xi`` in canonical
+    order; a U whose Gram matrix U^* U departs from the identity beyond
+    rounding raises :class:`DomainError`.  The result satisfies
+    U_minus @ A_p = U_plus in the least-squares sense, where the two row
+    selections drop the last (respectively first) member of every fiber
+    along dimension p.  It is computed from the fiber-count-sized system
+    that orthonormality leaves, and raises :class:`RankDeficiencyError`
+    when U_minus loses full column rank.
     """
     U = np.asarray(U, dtype=np.complex128)
-    if U.shape[0] != len(xi):
-        raise DomainError(f"U has {U.shape[0]} rows, expected {len(xi)}")
-    return _readonly(_shift_from_masks(U, deletion_masks(xi, p)))
+    if U.ndim != 2 or U.shape[0] != len(xi):
+        raise DomainError(f"U has shape {U.shape}, expected {len(xi)} rows")
+    masks = deletion_masks(xi, p)
+    if len(masks.keep_minus) < U.shape[1]:
+        raise CapacityError(
+            f"subspace has {U.shape[1]} columns but only {len(masks.keep_minus)} rows "
+            f"survive the deletion along dimension {p}",
+            capacity=len(masks.keep_minus),
+            requested=U.shape[1],
+        )
+    gram_error = float(np.linalg.norm(U.conj().T @ U - np.eye(U.shape[1])))
+    if gram_error > ORTHONORMAL_TOL_ULPS * max(U.shape) * np.finfo(np.float64).eps:
+        raise DomainError(
+            f"U must have orthonormal columns; ||U^* U - I||_F = {gram_error:.3e}"
+        )
+    return _readonly(_shift_from_masks(U, masks))
 
 
 def joint_eig(shift_matrices: list[np.ndarray], options: EspritOptions | None = None) -> JointDiagonalization:
@@ -234,11 +269,11 @@ def joint_eig(shift_matrices: list[np.ndarray], options: EspritOptions | None = 
             np.fill_diagonal(gaps, np.inf)
             if gaps.min() < MULTIPLICITY_GAP_REL * np.abs(mu).max():
                 continue
-        B = eig.eigvecs_inv
+        B, V = eig.eigvecs_inv, eig.eigvecs
         diagonals = []
         residuals = np.empty(d)
         for p, A in enumerate(mats):
-            D = np.linalg.solve(B.T, (B @ A).T).T  # B A B^{-1} without forming the inverse
+            D = B @ (A @ V)  # B A B^{-1}, with the eigenvectors V as B^{-1}
             diagonals.append(np.diag(D))
             residuals[p] = np.linalg.norm(D - np.diag(diagonals[-1]))
         multiplicity_only = False

@@ -45,6 +45,7 @@ class EigResult:
     """Eigendecomposition A = B^{-1} diag(eigenvalues) B."""
 
     eigenvalues: np.ndarray
+    eigvecs: np.ndarray  # right eigenvectors as columns, B^{-1} up to rounding
     eigvecs_inv: np.ndarray  # the matrix B
     eigvec_cond: float
 
@@ -89,7 +90,12 @@ def eig_full(matrix: np.ndarray) -> EigResult:
             stacklevel=2,
         )
     B = np.linalg.inv(vecs)
-    return EigResult(eigenvalues=_readonly(eigenvalues), eigvecs_inv=_readonly(B), eigvec_cond=cond)
+    return EigResult(
+        eigenvalues=_readonly(eigenvalues),
+        eigvecs=_readonly(vecs),
+        eigvecs_inv=_readonly(B),
+        eigvec_cond=cond,
+    )
 
 
 def lstsq(A: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -97,7 +103,9 @@ def lstsq(A: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
     Never forms the normal equations.  Raises
     :class:`RankDeficiencyError` carrying the numerical rank when A loses
-    full column rank.
+    full column rank.  The shift solve of :mod:`gdesprit.esprit` uses U's
+    orthonormal columns to reduce its K-column least-squares problem to a
+    small square system I - W W^* with one row per fiber, solved here.
     """
     A = np.asarray(A, dtype=np.complex128)
     Y = np.asarray(Y, dtype=np.complex128)

@@ -155,6 +155,34 @@ def eval_ref(zetas, coeffs, points):
     return np.array(out, dtype=np.complex128)
 
 
+def vandermonde_ref(points, zetas):
+    """Node-power matrix, one ``eval_ref`` column per frequency vector.
+
+    Each entry is one cmath.exp of sum_i zeta_i x_i over the point's own
+    (Python int) coordinates, one row per point in the given order.
+    """
+    return np.column_stack([eval_ref([zeta], [1.0], points) for zeta in zetas])
+
+
+def shift_ref(U, points, p):
+    """Least-squares shift matrix of U along dimension p (1-based).
+
+    Pairs every point x of the canonically ordered set whose successor
+    x + e_p is also in it, and solves U[x rows] A = U[successor rows] with
+    ``np.linalg.lstsq``; no orthonormality of U is assumed.
+    """
+    pts = canonical_sort_ref(points)
+    position = {pt: i for i, pt in enumerate(pts)}
+    pairs = []
+    for pt in pts:
+        successor = pt[: p - 1] + (pt[p - 1] + 1,) + pt[p:]
+        if successor in position:
+            pairs.append((position[pt], position[successor]))
+    minus, plus = (list(rows) for rows in zip(*pairs))
+    U = np.asarray(U, dtype=np.complex128)
+    return np.linalg.lstsq(U[minus], U[plus], rcond=None)[0]
+
+
 def prony_1d(samples, K):
     """Root-finding frequency recovery from consecutive 1-d samples.
 

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from gdesprit.domains import IndexSet, make_box, make_shape, minkowski_sum, erode
+import oracles
+from gdesprit.domains import IndexSet, deletion_masks, make_box, make_shape, minkowski_sum, erode
 from gdesprit.errors import (
     CapacityError,
     DegenerateFiberError,
@@ -17,6 +18,7 @@ from gdesprit.errors import (
     ModelOrderError,
     NonFiniteError,
     PairingError,
+    RankDeficiencyError,
 )
 from gdesprit.esprit import (
     EspritOptions,
@@ -38,6 +40,8 @@ from gdesprit.signal import (
     random_model,
     vandermonde,
 )
+
+EPS = np.finfo(np.float64).eps
 
 
 def trimmed_half_disc(radius=4):
@@ -186,6 +190,62 @@ class TestShiftMatrix:
         xi = make_box((2, 2))  # one deletion along dim 1 leaves 2 rows
         with pytest.raises(CapacityError):
             shift_matrix(np.ones((4, 3)), xi, 1)
+
+    @given(st.integers(0, 10_000), st.integers(0, 2), st.floats(0.0, 0.6))
+    def test_matches_least_squares_oracle(self, seed, grid, damping):
+        # The fiber-sized solve assumes orthonormal columns; its rounding
+        # error grows like eps / sigma_min(U_minus)^2.
+        rng = np.random.default_rng(seed)
+        if grid == 0:
+            radius = int(rng.integers(5, 9))
+            xi = erode(make_shape({"kind": "half_disc", "radius": radius}), make_box((3, 3)))
+            upsilon = make_box((3, 3))
+        else:
+            xi = make_box(tuple(int(w) for w in rng.integers(2, 6, size=grid + 1)))
+            upsilon = make_box(tuple(int(w) for w in rng.integers(2, 5, size=grid + 1)))
+        d = xi.dim
+        cap = min(len(deletion_masks(xi, p).keep_minus) for p in range(1, d + 1))
+        K = int(rng.integers(1, min(cap, len(upsilon)) + 1))
+        model = random_model(K, d, rng, layout="random_complex", damping_bound=damping)
+        f = eval_model(model, minkowski_sum(xi, upsilon))
+        U = truncated_svd(build_hankel(f, xi, upsilon).matrix, K).U
+        for p in range(1, d + 1):
+            expected = oracles.shift_ref(U, xi.points, p)
+            minus = list(deletion_masks(xi, p).keep_minus)
+            sigma_min = np.linalg.svd(U[minus], compute_uv=False)[-1]
+            bound = 100 * EPS * max(1.0, np.linalg.norm(expected)) / sigma_min**2
+            assert np.linalg.norm(shift_matrix(U, xi, p) - expected) <= bound
+
+    def test_non_orthonormal_columns_rejected(self):
+        xi = make_box((3, 3))
+        rng = np.random.default_rng(5)
+        U = np.linalg.qr(rng.standard_normal((9, 2)) + 1j * rng.standard_normal((9, 2)))[0]
+        shift_matrix(U, xi, 1)  # an orthonormal basis is accepted
+        for bad in (U * (1 + 1e-8), U @ np.array([[1.0, 0.5], [0.0, 1.0]])):
+            with pytest.raises(DomainError, match="orthonormal"):
+                shift_matrix(bad, xi, 1)
+
+    def test_rank_loss_on_fiber_ends_is_typed(self):
+        # Column 0 lives on the point (2, 0), the last member of its fiber
+        # along dimension 1, so U_minus has a zero column there.
+        xi = make_box((3, 3))
+        U = np.eye(9)[:, [2, 4]]
+        with pytest.raises(RankDeficiencyError) as err:
+            shift_matrix(U, xi, 1)
+        assert err.value.rank == 1
+        # along dimension 2 the point (2, 0) is a fiber start, so both columns survive
+        np.testing.assert_allclose(shift_matrix(U, xi, 2), np.zeros((2, 2)), atol=1e-15)
+
+    @pytest.mark.parametrize("shape", [(5,), (5, 5)])
+    def test_esprit_nd_surfaces_rank_loss(self, shape):
+        # A single sample at the far corner makes the signal subspace the
+        # row grid's far corner, a fiber end along every dimension.
+        omega = make_box(shape)
+        values = np.zeros(len(omega))
+        values[-1] = 1.0
+        grid = make_box(tuple((w + 1) // 2 for w in shape))
+        with pytest.raises(RankDeficiencyError):
+            esprit_nd(MdSequence(omega, values), grid, grid, EspritOptions(model_order=1))
 
 
 class TestJointEig:

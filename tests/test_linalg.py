@@ -84,6 +84,12 @@ class TestEig:
         np.testing.assert_allclose(
             B @ A, np.diag(eig.eigenvalues) @ B, atol=1e-10 * np.linalg.norm(A)
         )
+        # the right eigenvectors are the columns of B^{-1}
+        V = eig.eigvecs
+        np.testing.assert_allclose(
+            A @ V, V @ np.diag(eig.eigenvalues), atol=1e-10 * np.linalg.norm(A)
+        )
+        np.testing.assert_allclose(B @ V, np.eye(n), atol=1e-10 * eig.eigvec_cond)
         assert np.isfinite(eig.eigvec_cond)
 
     def test_diagonal_matrix(self):

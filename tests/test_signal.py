@@ -94,14 +94,26 @@ class TestMdSequence:
 
 
 class TestVandermondeAndEval:
-    @given(index_sets(dim=2, max_size=8, lo=-3, hi=3), st.integers(0, 10_000))
-    def test_vandermonde_matches_scalar_loop(self, domain, seed):
+    @given(index_sets(max_size=10, lo=-8, hi=8), st.integers(0, 10_000), st.floats(0.0, 0.6))
+    def test_vandermonde_matches_scalar_loop(self, domain, seed, damping):
         rng = np.random.default_rng(seed)
-        zetas = rng.uniform(-0.3, 0.3, (3, 2)) + 1j * rng.uniform(-np.pi, np.pi, (3, 2))
-        V = vandermonde(domain, zetas)
-        for k in range(3):
-            expected = oracles.eval_ref([zetas[k]], [1.0], domain.points)
-            np.testing.assert_allclose(V[:, k], expected, rtol=1e-12)
+        d = domain.dim
+        zetas = rng.uniform(-damping, damping, (4, d)) + 1j * rng.uniform(-np.pi, np.pi, (4, d))
+        expected = oracles.vandermonde_ref(domain.points, zetas)
+        np.testing.assert_allclose(vandermonde(domain, zetas), expected, rtol=1e-12)
+
+    @given(index_sets(max_size=6, lo=-(2**40), hi=2**40), st.integers(0, 10_000))
+    def test_vandermonde_far_coordinates_match_oracle(self, domain, seed):
+        # The exponent <x, zeta> is a float64 sum of d products of size up to
+        # 2^40 * pi, so each entry is good to a few ulp of sum_i |x_i zeta_i|;
+        # the real parts are scaled so the moduli stay within range.
+        rng = np.random.default_rng(seed)
+        d = domain.dim
+        zetas = rng.uniform(-30.0, 30.0, (3, d)) / 2.0**40 + 1j * rng.uniform(-np.pi, np.pi, (3, d))
+        expected = oracles.vandermonde_ref(domain.points, zetas)
+        scale = np.abs(domain.as_array.astype(np.float64)) @ np.abs(zetas).T
+        tol = 4 * d * EPS * (1.0 + scale) * np.abs(expected)
+        assert np.all(np.abs(vandermonde(domain, zetas) - expected) <= tol)
 
     @given(st.integers(0, 10_000))
     def test_eval_matches_scalar_loop(self, seed):
