@@ -145,8 +145,11 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         if args.upsilon is not None:
             raise DomainError("give either --upsilon or --erode, not both")
         upsilon = erode(f.domain, xi)
-        covered = minkowski_sum(xi, upsilon)
-        unused = len(f.domain) - len(covered)
+        # every sum of a row and a column point is a sample, by the erosion
+        sums = (x[:, None] + y for x, y in zip(xi.as_array.T, upsilon.as_array.T))
+        used = np.zeros(len(f.domain), dtype=bool)
+        used[f.domain.locate(sums)] = True
+        unused = len(f.domain) - int(used.sum())
         if unused > 0:
             print(
                 f"warning: {unused} of {len(f.domain)} samples lie outside the grid sums "

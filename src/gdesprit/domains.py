@@ -104,13 +104,22 @@ class IndexSet:
         return _readonly(self.as_array.min(axis=0)), _readonly(self.as_array.max(axis=0))
 
     @cached_property
+    def axes(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per dimension, the sorted distinct coordinate values and each
+        point's rank among them (read-only arrays)."""
+        axes = tuple(np.unique(col, return_inverse=True) for col in self.as_array.T)
+        for values, rank in axes:
+            values.setflags(write=False)
+            rank.setflags(write=False)
+        return axes
+
+    @cached_property
     def _levels(self) -> tuple[list[tuple[np.ndarray | None, np.ndarray, int]], np.ndarray]:
         """The lookup tables: per dimension, the sorted prefix keys to squeeze
         the running key to first (None while it fits in int64), the distinct
         values and the key stride; then the points' keys, in canonical order."""
         levels, key, count = [], 0, 1
-        for col in self.as_array.T:
-            axis, rank = np.unique(col, return_inverse=True)
+        for axis, rank in self.axes:
             squeeze = None
             if count * len(axis) > _INT64.max:
                 squeeze, key = np.unique(key, return_inverse=True)

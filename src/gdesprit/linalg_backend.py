@@ -1,9 +1,10 @@
 """Thin numerical backend: SVD, eigendecomposition, least squares.
 
 Keeps the algorithm modules free of direct solver calls so backend choices
-stay in one place.  Conventions: a singular value decomposition is returned
-as H = U diag(S) V^* (V carries the right singular vectors as columns), and
-an eigendecomposition as A = B^{-1} diag(lambda) B.
+stay in one place.  Conventions: a singular value decomposition returns the
+left singular vectors U and the singular values of H only, since the
+estimator never reads the right singular vectors; an eigendecomposition is
+A = B^{-1} diag(lambda) B.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SvdResult:
-    """Rank-K factorization H ~ U diag(S) V^*.
+    """Leading K left singular vectors and singular values of H.
 
     ``spectrum`` keeps the full singular value sequence of the input so rank
     diagnostics never need a second decomposition.
@@ -36,7 +37,6 @@ class SvdResult:
 
     U: np.ndarray
     S: np.ndarray
-    V: np.ndarray
     spectrum: np.ndarray
 
 
@@ -47,14 +47,18 @@ class EigResult:
     eigenvalues: np.ndarray
     eigvecs: np.ndarray  # right eigenvectors as columns, B^{-1} up to rounding
     eigvecs_inv: np.ndarray  # the matrix B
-    eigvec_cond: float
+    eigvec_cond: float  # 1-norm condition number ||V||_1 ||B||_1
 
 
 def truncated_svd(matrix: np.ndarray, K: int) -> SvdResult:
-    """Top-K singular triplets of a dense complex matrix.
+    """Top-K left singular vectors and singular values of a dense complex matrix.
 
     The decomposition is computed in full and truncated, so S is exactly the
-    leading part of ``spectrum``.
+    leading part of ``spectrum``.  A wide H (more columns than rows) is first
+    reduced to a square factor by the R-SVD of Chan (ACM TOMS 8(1), 1982):
+    with H^* = QR, H = R^* Q^*, so H and R^* share U and the singular values,
+    and Q, whose columns are as long as H's rows, is never formed.  Square and
+    tall H go to one SVD directly.
     """
     H = np.asarray(matrix, dtype=np.complex128)
     if H.ndim != 2 or H.size == 0:
@@ -62,26 +66,26 @@ def truncated_svd(matrix: np.ndarray, K: int) -> SvdResult:
     kmax = min(H.shape)
     if not 1 <= K <= kmax:
         raise DomainError(f"truncation order must be in 1..{kmax}, got {K}")
-    U, s, Vh = np.linalg.svd(H, full_matrices=False)
-    return SvdResult(
-        U=_readonly(U[:, :K]),
-        S=_readonly(s[:K]),
-        V=_readonly(Vh[:K].conj().T),
-        spectrum=_readonly(s),
-    )
+    if H.shape[1] > H.shape[0]:
+        H = np.linalg.qr(H.conj().T, mode="r").conj().T
+    U, s, _ = np.linalg.svd(H, full_matrices=False)
+    return SvdResult(U=_readonly(U[:, :K]), S=_readonly(s[:K]), spectrum=_readonly(s))
 
 
 def eig_full(matrix: np.ndarray) -> EigResult:
     """Dense eigendecomposition of a square matrix.
 
-    Warns when the eigenvector matrix is so ill-conditioned that the input
-    is numerically defective.
+    Warns when the eigenvector matrix V is so ill-conditioned that the input
+    is numerically defective.  The condition number is taken in the 1-norm,
+    ||V||_1 ||V^{-1}||_1, from the inverse the result needs anyway; it lies
+    within a factor K of the 2-norm one and needs no SVD of V.
     """
     A = np.asarray(matrix, dtype=np.complex128)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
         raise DomainError(f"expected a nonempty square matrix, got shape {A.shape}")
     eigenvalues, vecs = np.linalg.eig(A)
-    cond = float(np.linalg.cond(vecs))
+    B = np.linalg.inv(vecs)
+    cond = float(np.linalg.norm(vecs, 1) * np.linalg.norm(B, 1))
     if not np.isfinite(cond) or cond > EIGVEC_COND_LIMIT:
         warnings.warn(
             f"eigenvector matrix condition {cond:.3e} exceeds {EIGVEC_COND_LIMIT:.0e}; "
@@ -89,7 +93,6 @@ def eig_full(matrix: np.ndarray) -> EigResult:
             RuntimeWarning,
             stacklevel=2,
         )
-    B = np.linalg.inv(vecs)
     return EigResult(
         eigenvalues=_readonly(eigenvalues),
         eigvecs=_readonly(vecs),

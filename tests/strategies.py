@@ -25,6 +25,20 @@ def index_sets(draw, dim=None, min_size=1, max_size=12, lo=-6, hi=6):
 
 
 @st.composite
+def gapped_index_sets(draw, max_size=20):
+    """1- to 3-d sets whose coordinate values along every dimension start
+    below zero and step by gaps of 2 to 9."""
+    d = draw(st.integers(1, 3))
+    axes = []
+    for _ in range(d):
+        start = draw(st.integers(-40, -1))
+        gaps = draw(st.lists(st.integers(2, 9), max_size=4))
+        axes.append(np.cumsum([start, *gaps]).tolist())
+    pick = st.tuples(*(st.sampled_from(axis) for axis in axes))
+    return IndexSet(d, tuple(draw(st.lists(pick, min_size=1, max_size=max_size))))
+
+
+@st.composite
 def run_domains(draw, p):
     """2-d index sets whose dimension-``p`` fibers are contiguous runs >= 2."""
     n_fibers = draw(st.integers(1, 4))

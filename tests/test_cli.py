@@ -9,7 +9,7 @@ import pytest
 
 from gdesprit import serialize
 from gdesprit.cli import main, parse_grid_arg
-from gdesprit.domains import make_box, make_shape
+from gdesprit.domains import erode, make_box, make_shape, minkowski_sum
 from gdesprit.errors import DomainError
 from gdesprit.harness import ModelRecipe, ExperimentSpec, match_frequencies, spec_to_dict
 from gdesprit.signal import eval_model
@@ -170,6 +170,17 @@ class TestEstimate:
         est = serialize.model_from_dict(serialize.load_json(report_path)["model"])
         truth = serialize.model_from_dict(serialize.load_json(model_path))
         assert match_frequencies(truth.nodes, est.nodes).lambda_errors.max() < 1e-8
+
+    def test_erode_counts_samples_outside_the_grid_sums(self, tmp_path, capsys):
+        samples_path, _ = synth(tmp_path, grid="half_disc:6", order=4, seed=9)
+        capsys.readouterr()
+        code = run_cli("estimate", str(samples_path), "--xi", "box:3,3", "--erode", "--order", "4")
+        assert code == 0
+        omega = make_shape({"kind": "half_disc", "radius": 6})
+        xi = make_box((3, 3))
+        unused = len(omega) - len(minkowski_sum(xi, erode(omega, xi)))
+        assert unused > 0
+        assert f"warning: {unused} of {len(omega)} samples lie outside" in capsys.readouterr().err
 
     @pytest.mark.parametrize("far", [10**6, 2**40])
     def test_far_sample_point(self, tmp_path, capsys, far):

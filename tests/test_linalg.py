@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -21,6 +23,22 @@ def random_complex(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+# wide (the R-SVD path), square and tall inputs
+SHAPES = [(5, 7), (3, 8), (6, 6), (7, 5), (8, 3)]
+
+
+def assert_left_singular(H, svd):
+    """U has orthonormal columns that are left singular vectors of H for S:
+    U^* H H^* U = diag(S^2), and the spectrum is the reference one."""
+    K = svd.U.shape[1]
+    reference = np.linalg.svd(H, compute_uv=False)
+    np.testing.assert_allclose(svd.spectrum, reference, rtol=0, atol=1e-12 * reference[0])
+    np.testing.assert_array_equal(svd.S, svd.spectrum[:K])
+    np.testing.assert_allclose(svd.U.conj().T @ svd.U, np.eye(K), atol=1e-12)
+    gram = svd.U.conj().T @ H @ H.conj().T @ svd.U
+    np.testing.assert_allclose(gram, np.diag(svd.S**2), atol=1e-12 * reference[0] ** 2)
+
+
 class TestTruncatedSvd:
     @given(st.integers(0, 10_000), st.integers(2, 8), st.integers(2, 8))
     def test_factorization_and_orthonormality(self, seed, m, n):
@@ -28,38 +46,40 @@ class TestTruncatedSvd:
         H = random_complex(rng, m, n)
         K = min(m, n)
         svd = truncated_svd(H, K)
-        np.testing.assert_allclose(svd.U @ np.diag(svd.S) @ svd.V.conj().T, H, atol=1e-12)
-        np.testing.assert_allclose(svd.U.conj().T @ svd.U, np.eye(K), atol=1e-12)
-        np.testing.assert_allclose(svd.V.conj().T @ svd.V, np.eye(K), atol=1e-12)
+        assert svd.U.shape == (m, K)
+        assert_left_singular(H, svd)
+        # with every singular vector kept, U spans the range of H
+        np.testing.assert_allclose(svd.U @ (svd.U.conj().T @ H), H, atol=1e-12)
         assert np.all(np.diff(svd.spectrum) <= 0)
         assert np.all(svd.spectrum >= 0)
 
-    @given(st.integers(0, 10_000))
-    def test_truncation_error_is_next_singular_value(self, seed):
+    @given(st.integers(0, 10_000), st.sampled_from(SHAPES))
+    def test_truncation_error_is_next_singular_value(self, seed, shape):
         rng = np.random.default_rng(seed)
-        H = random_complex(rng, 7, 5)
-        K = 3
+        H = random_complex(rng, *shape)
+        K = min(shape) - 2
         svd = truncated_svd(H, K)
-        approx = svd.U @ np.diag(svd.S) @ svd.V.conj().T
-        err = np.linalg.norm(H - approx, ord=2)
+        err = np.linalg.norm(H - svd.U @ (svd.U.conj().T @ H), ord=2)
         assert err == pytest.approx(svd.spectrum[K], rel=1e-10, abs=1e-12)
 
     def test_truncation_is_prefix_of_spectrum(self):
         rng = np.random.default_rng(5)
-        H = random_complex(rng, 6, 6)
-        svd = truncated_svd(H, 2)
-        np.testing.assert_array_equal(svd.S, svd.spectrum[:2])
-        assert svd.U.shape == (6, 2)
-        assert svd.V.shape == (6, 2)
+        for m, n in SHAPES:
+            H = random_complex(rng, m, n)
+            svd = truncated_svd(H, 2)
+            assert svd.U.shape == (m, 2)
+            assert svd.S.shape == (2,)
+            assert svd.spectrum.shape == (min(m, n),)
+            assert_left_singular(H, svd)
 
     def test_exact_low_rank_input(self):
         rng = np.random.default_rng(9)
-        A = random_complex(rng, 8, 3)
-        B = random_complex(rng, 3, 6)
-        H = A @ B
-        svd = truncated_svd(H, 3)
-        assert svd.spectrum[3] <= 1e-12 * svd.spectrum[0]
-        np.testing.assert_allclose(svd.U @ np.diag(svd.S) @ svd.V.conj().T, H, atol=1e-10)
+        for m, n in [(8, 6), (6, 9), (6, 6)]:
+            H = random_complex(rng, m, 3) @ random_complex(rng, 3, n)
+            svd = truncated_svd(H, 3)
+            assert svd.spectrum[3] <= 1e-12 * svd.spectrum[0]
+            np.testing.assert_allclose(svd.U @ (svd.U.conj().T @ H), H, atol=1e-10)
+            assert_left_singular(H, svd)
 
     def test_invalid_truncation_order(self):
         H = np.eye(3)
@@ -100,6 +120,21 @@ class TestEig:
         jordan = np.array([[1.0, 1.0], [0.0, 1.0]])
         with pytest.warns(RuntimeWarning, match="defective"):
             eig_full(jordan)
+
+    @given(st.integers(0, 10_000), st.integers(2, 12), st.sampled_from([0.0, 1e-4, 1e-8, 1e-12]))
+    def test_condition_is_within_factor_k_of_two_norm(self, seed, n, nudge):
+        # the 1-norm condition ||V||_1 ||V^-1||_1 lies in [kappa_2 / n, n kappa_2];
+        # nudge > 0 perturbs a Jordan block, whose eigenvectors nearly coincide
+        rng = np.random.default_rng(seed)
+        if nudge:
+            A = np.eye(n, k=1) + nudge * random_complex(rng, n, n)
+        else:
+            A = random_complex(rng, n, n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # near-defective inputs may pass 1e12
+            eig = eig_full(A)
+        kappa2 = np.linalg.cond(eig.eigvecs)
+        assert kappa2 / n * (1 - 1e-8) <= eig.eigvec_cond <= n * kappa2 * (1 + 1e-8)
 
     def test_rejects_non_square(self):
         with pytest.raises(DomainError):

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from strategies import index_sets
+from strategies import gapped_index_sets, index_sets
 from gdesprit.domains import IndexSet, make_box
 from gdesprit.errors import DomainError, GenerationError, NonFiniteError
 from gdesprit.signal import (
@@ -114,6 +114,25 @@ class TestVandermondeAndEval:
         scale = np.abs(domain.as_array.astype(np.float64)) @ np.abs(zetas).T
         tol = 4 * d * EPS * (1.0 + scale) * np.abs(expected)
         assert np.all(np.abs(vandermonde(domain, zetas) - expected) <= tol)
+
+    @given(gapped_index_sets(), st.integers(0, 10_000), st.floats(0.0, 0.3))
+    def test_vandermonde_gapped_negative_coordinates_match_oracle(self, domain, seed, damping):
+        # the phase is gathered per dimension by coordinate rank, so ranks and
+        # values must not be confused where the values skip and go negative
+        rng = np.random.default_rng(seed)
+        d = domain.dim
+        zetas = rng.uniform(-damping, damping, (5, d)) + 1j * rng.uniform(-np.pi, np.pi, (5, d))
+        expected = oracles.vandermonde_ref(domain.points, zetas)
+        np.testing.assert_allclose(vandermonde(domain, zetas), expected, rtol=1e-12)
+
+    def test_vandermonde_finite_where_only_one_factor_overflows(self):
+        # exp(800 zeta_1) alone overflows, but the point's full exponent has
+        # real part 800 - 790 = 10: the modulus is taken over the whole sum
+        domain = IndexSet(2, [(800, -790)])
+        zetas = np.array([[1 + 0.3j, 1 + 0.1j]])
+        got = vandermonde(domain, zetas)
+        assert np.all(np.isfinite(got))
+        np.testing.assert_allclose(got, oracles.vandermonde_ref(domain.points, zetas), rtol=1e-13)
 
     @given(st.integers(0, 10_000))
     def test_eval_matches_scalar_loop(self, seed):
