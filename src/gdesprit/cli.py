@@ -5,13 +5,8 @@ model from a sample file), ``experiment`` (run a spec or bundled scenario)
 and ``domain-info`` (inspect grids).  Exit codes: 0 success, 1 runtime
 failure, 2 invalid input or usage.
 
-Grid arguments use a compact grammar::
-
-    box:N1,...,Nd[@o1,...,od]   full box, optional offset (default 0)
-    triangle:L                  i, j >= 1 with i + j <= L + 1
-    half_disc:R                 i^2 + j^2 <= R^2 with j >= 0
-    mask:points.json            explicit point list from a JSON file
-    path.json                   any grid descriptor stored as JSON
+Grid arguments use the compact grammar of ``_GRID_HELP`` below, which
+``gdesprit --help`` prints.
 
 Seeds are taken from flags only; the environment is never consulted.
 """
@@ -19,6 +14,7 @@ Seeds are taken from flags only; the environment is never consulted.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -27,16 +23,7 @@ import numpy as np
 
 from . import harness, serialize
 from .domains import degenerate_fibers, erode, minkowski_sum
-from .errors import (
-    CapacityError,
-    CoverageError,
-    DomainError,
-    GenerationError,
-    ModelOrderError,
-    NonFiniteError,
-    PairingError,
-    RankDeficiencyError,
-)
+from .errors import INPUT_ERRORS, RUNTIME_ERRORS, DomainError
 from .esprit import EspritOptions, esprit_nd
 from .hankel import capacity
 from .signal import add_noise, eval_model, random_model
@@ -44,63 +31,37 @@ from .signal import add_noise, eval_model, random_model
 USAGE_ERROR = 2
 RUNTIME_ERROR = 1
 
-_INPUT_ERRORS = (
-    DomainError,
-    CoverageError,
-    CapacityError,
-    ModelOrderError,
-    NonFiniteError,
-)
-_RUNTIME_ERRORS = (
-    PairingError,
-    RankDeficiencyError,
-    GenerationError,
-    np.linalg.LinAlgError,
-    OSError,
-)
-
 
 def parse_grid_arg(text: str) -> dict:
-    """Turn a grid argument into a JSON-style grid descriptor."""
+    """Turn a grid argument into a JSON-style grid descriptor.
+
+    Only the text grammar is read here; ``serialize.grid_from_spec`` checks
+    every parameter when it builds the grid.
+    """
     if text.startswith("{"):
         try:
             return json.loads(text)
         except json.JSONDecodeError as exc:
             raise DomainError(f"invalid inline JSON grid spec: {exc}") from exc
-    if text.endswith(".json") and not text.startswith("mask:"):
-        data = serialize.load_json(text)
-        if isinstance(data, list):
-            return {"kind": "mask", "points": data}
-        return data
+    if text.endswith(".json") or text.startswith("mask:"):
+        data = serialize.load_json(text.removeprefix("mask:"))
+        return {"kind": "mask", "points": data} if isinstance(data, list) else data
     kind, sep, rest = text.partition(":")
     if not sep:
         raise DomainError(f"malformed grid spec {text!r}; expected kind:parameters")
-    if kind == "box":
-        widths_part, at, offset_part = rest.partition("@")
-        try:
-            widths = [int(w) for w in widths_part.split(",")]
-            offset = [int(o) for o in offset_part.split(",")] if at else None
-        except ValueError as exc:
-            raise DomainError(f"malformed box spec {text!r}: {exc}") from exc
-        spec = {"kind": "box", "widths": widths}
-        if offset is not None:
-            spec["offset"] = offset
-        return spec
-    if kind == "triangle":
-        try:
+    try:
+        if kind == "box":
+            widths, at, offset = rest.partition("@")
+            spec = {"kind": "box", "widths": [int(w) for w in widths.split(",")]}
+            if at:
+                spec["offset"] = [int(o) for o in offset.split(",")]
+            return spec
+        if kind == "triangle":
             return {"kind": "triangle", "side": int(rest)}
-        except ValueError as exc:
-            raise DomainError(f"malformed triangle spec {text!r}: {exc}") from exc
-    if kind == "half_disc":
-        try:
+        if kind == "half_disc":
             return {"kind": "half_disc", "radius": float(rest)}
-        except ValueError as exc:
-            raise DomainError(f"malformed half_disc spec {text!r}: {exc}") from exc
-    if kind == "mask":
-        data = serialize.load_json(rest)
-        if isinstance(data, list):
-            return {"kind": "mask", "points": data}
-        return data
+    except ValueError as exc:
+        raise DomainError(f"malformed {kind} spec {text!r}: {exc}") from exc
     raise DomainError(f"unknown grid kind {kind!r} in {text!r}")
 
 
@@ -190,18 +151,10 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     if (args.spec is None) == (args.scenario is None):
         raise DomainError("give exactly one of a spec file or --scenario")
     if args.scenario is not None:
-        spec = harness.bundled_spec(args.scenario, output=args.out)
+        spec = harness.bundled_spec(args.scenario)
     else:
         spec = harness.spec_from_dict(serialize.load_json(args.spec))
-    if args.out is not None and spec.output != args.out:
-        data = harness.spec_to_dict(spec)
-        data["output"] = args.out
-        spec = harness.spec_from_dict(data)
-    if spec.output is None:
-        data = harness.spec_to_dict(spec)
-        data["output"] = "."
-        spec = harness.spec_from_dict(data)
-
+    spec = dataclasses.replace(spec, output=args.out or spec.output or ".")
     results = harness.run_experiment(spec, jobs=args.jobs)
     failures = sum(1 for r in results if r.failed)
     ok = [r for r in results if not r.failed]
@@ -239,6 +192,7 @@ grid grammar:
   half_disc:R                 i^2 + j^2 <= R^2 with j >= 0
   mask:points.json            explicit point list from a JSON file
   path.json                   any grid descriptor stored as JSON
+  {...}                       inline JSON grid descriptor
 """
 
 
@@ -308,10 +262,10 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE_ERROR
     try:
         return args.func(args)
-    except _INPUT_ERRORS as exc:
+    except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except _RUNTIME_ERRORS as exc:
+    except RUNTIME_ERRORS + (OSError,) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return RUNTIME_ERROR
 

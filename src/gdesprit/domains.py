@@ -23,6 +23,7 @@ that would leave int64 raises :class:`DomainError` instead of wrapping.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -195,9 +196,24 @@ class DeletionMasks:
     keep_plus: tuple[int, ...]
 
 
+def _number(value, what: str, integral: bool = False):
+    """``value`` as a float, or as an int where ``integral``; anything but a
+    finite real number (a bool, a string, inf, nan, a fraction where a count
+    is meant) raises DomainError."""
+    ok = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    try:
+        ok = ok and math.isfinite(value) and (not integral or float(value).is_integer())
+    except OverflowError:  # an int beyond the float range
+        ok = False
+    if not ok:
+        expected = "an integer" if integral else "a finite number"
+        raise DomainError(f"{what} must be {expected}, got {value!r}")
+    return int(value) if integral else float(value)
+
+
 def make_box(widths: Sequence[int], offset: Sequence[int] | None = None) -> IndexSet:
     """Full box with the given per-dimension widths, anchored at ``offset``."""
-    widths = tuple(int(w) for w in widths)
+    widths = tuple(_number(w, "a box width", integral=True) for w in widths)
     if not widths:
         raise DomainError("a box needs at least one width")
     if any(w <= 0 for w in widths):
@@ -208,38 +224,46 @@ def make_box(widths: Sequence[int], offset: Sequence[int] | None = None) -> Inde
 
 
 def make_shape(spec: Mapping) -> IndexSet:
-    """Build an index set from a shape descriptor.
+    """Build an index set from a JSON-style grid descriptor.
 
-    Supported kinds: ``triangle`` (side), ``half_disc`` (radius) and
-    ``mask`` (explicit point list).
+    Kinds: ``box`` (``widths``, optional ``offset``), ``triangle``
+    (``side``), ``half_disc`` (``radius``) and ``mask`` (explicit
+    ``points``).  An optional ``dim`` must equal the dimension described.
+    Descriptors come from files and the command line, so every parameter is
+    checked here and a malformed one raises :class:`DomainError`.
     """
     if not isinstance(spec, Mapping):
-        raise DomainError(f"shape descriptor must be a mapping, got {type(spec).__name__}")
+        raise DomainError(f"grid spec must be a mapping, got {type(spec).__name__}")
     kind = spec.get("kind")
-    if kind == "triangle":
-        side = spec.get("side")
-        if side is None or int(side) != side or int(side) < 1:
-            raise DomainError(f"triangle needs a positive integer side, got {side!r}")
-        side = int(side)
-        return IndexSet(2, [(i, j) for j in range(1, side + 1) for i in range(1, side + 2 - j)])
-    if kind == "half_disc":
-        radius = spec.get("radius")
-        if radius is None or radius < 0:
-            raise DomainError(f"half_disc needs a nonnegative radius, got {radius!r}")
-        rmax = int(np.floor(float(radius)))
+    if kind == "box":
+        widths = spec.get("widths")
+        if not isinstance(widths, (list, tuple)):
+            raise DomainError(f"box spec needs a list of widths, got {widths!r}")
+        grid = make_box(widths, spec.get("offset"))
+    elif kind == "triangle":
+        side = _number(spec.get("side"), "the triangle side", integral=True)
+        if side < 1:
+            raise DomainError(f"triangle needs a positive integer side, got {side}")
+        grid = IndexSet(2, [(i, j) for j in range(1, side + 1) for i in range(1, side + 2 - j)])
+    elif kind == "half_disc":
+        radius = _number(spec.get("radius"), "the half_disc radius")
+        if radius < 0:
+            raise DomainError(f"half_disc needs a nonnegative radius, got {radius}")
+        rmax = int(np.floor(radius))
         i, j = np.meshgrid(np.arange(-rmax, rmax + 1), np.arange(rmax + 1))
-        inside = i * i + j * j <= float(radius) ** 2
-        if not inside.any():
-            raise DomainError(f"half_disc of radius {radius!r} contains no lattice points")
-        return IndexSet(2, np.stack([i[inside], j[inside]], axis=1))
-    if kind == "mask":
+        inside = i * i + j * j <= radius**2  # never empty: (0, 0) is inside
+        grid = IndexSet(2, np.stack([i[inside], j[inside]], axis=1))
+    elif kind == "mask":
         pts = spec.get("points")
-        if not pts:
+        if not isinstance(pts, (list, tuple)) or not pts:
             raise DomainError("mask descriptor needs a nonempty point list")
-        first = pts[0]
-        d = 1 if isinstance(first, (int, np.integer)) else len(tuple(first))
-        return IndexSet(d, pts)
-    raise DomainError(f"unknown shape kind {kind!r}")
+        grid = IndexSet(len(pts[0]) if isinstance(pts[0], (list, tuple)) else 1, pts)
+    else:
+        raise DomainError(f"unknown grid kind {kind!r}")
+    declared = spec.get("dim")
+    if declared is not None and _number(declared, "dim", integral=True) != grid.dim:
+        raise DomainError(f"grid spec declares dim {declared} but describes dim {grid.dim}")
+    return grid
 
 
 def minkowski_sum(a: IndexSet, b: IndexSet) -> IndexSet:

@@ -3,9 +3,13 @@
 Everything that signals a bad argument derives from ValueError so callers
 that do not care about the fine-grained type can catch the builtin.
 Runtime failures of the numerical pipeline derive from RuntimeError.
+:data:`INPUT_ERRORS` and :data:`RUNTIME_ERRORS` list the two groups for
+callers that report failures instead of raising them.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 
 class DomainError(ValueError):
@@ -69,3 +73,10 @@ class PairingError(RuntimeError):
         super().__init__(message)
         self.residuals = residuals
         self.attempts = attempts
+
+
+# Bad input: the CLI exits 2 on these.
+INPUT_ERRORS = (DomainError, CoverageError, CapacityError, ModelOrderError, NonFiniteError)
+
+# Failures of a computation on valid input: the CLI exits 1 on these.
+RUNTIME_ERRORS = (PairingError, RankDeficiencyError, GenerationError, np.linalg.LinAlgError)

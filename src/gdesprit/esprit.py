@@ -40,7 +40,7 @@ from .errors import (
     PairingError,
     RankDeficiencyError,
 )
-from .hankel import DEFAULT_RANK_REL_TOL, build_hankel
+from .hankel import DEFAULT_RANK_REL_TOL, auto_order, build_hankel
 from .linalg_backend import _readonly
 from .signal import ExponentialModel, MdSequence, vandermonde
 
@@ -56,6 +56,14 @@ ORTHONORMAL_TOL_ULPS = 100
 # spectral radius trigger a redraw of the combination.
 MULTIPLICITY_GAP_REL = 1e-8
 
+# Redraws of the pairing combination after the first attempt.
+COMBO_RETRIES = 8
+
+# Off-diagonal residual, relative to the matrix norm, up to which a pairing is
+# accepted.  Loose by design: noisy data legitimately produces large
+# off-diagonal mass, which is reported rather than treated as failure.
+DIAG_RESIDUAL_TOL = 0.9
+
 
 @dataclass
 class EspritOptions:
@@ -64,37 +72,26 @@ class EspritOptions:
     ``model_order`` fixes the number of recovered terms; ``None`` selects it
     from the singular value sequence with relative cutoff ``auto_rel_tol``.
     ``combo_seed`` seeds the random unit-modulus combination used to pair
-    dimensions; up to ``combo_retries`` redraws are attempted when the
+    dimensions; up to ``COMBO_RETRIES`` redraws are attempted when the
     combination has (numerically) repeated eigenvalues or the off-diagonal
-    residual exceeds ``diag_residual_tol`` relative to the matrix norm.
+    residual exceeds ``DIAG_RESIDUAL_TOL`` relative to the matrix norm.
     """
 
     model_order: int | None = None
     auto_rel_tol: float = DEFAULT_RANK_REL_TOL
     combo_seed: int = 0
-    combo_retries: int = 8
-    # Loose by design: noisy data legitimately produces large off-diagonal
-    # mass, which is reported rather than treated as failure.
-    diag_residual_tol: float = 0.9
 
     def __post_init__(self):
         if self.model_order is not None and self.model_order < 1:
             raise DomainError(f"model order must be at least 1, got {self.model_order}")
         if not 0 < self.auto_rel_tol < 1:
             raise DomainError(f"auto_rel_tol must lie in (0, 1), got {self.auto_rel_tol}")
-        if not 0 < self.diag_residual_tol < 1:
-            raise DomainError(
-                f"diag_residual_tol must lie in (0, 1), got {self.diag_residual_tol}"
-            )
-        if self.combo_retries < 0:
-            raise DomainError(f"combo_retries must be nonnegative, got {self.combo_retries}")
 
 
 @dataclass(frozen=True)
 class JointDiagonalization:
     """Result of pairing the shift matrices in one eigenbasis."""
 
-    B: np.ndarray
     nodes: np.ndarray  # (K, d): row k holds the node coordinates of term k
     off_diag_norms: np.ndarray  # Frobenius norm of the off-diagonal part, per dimension
     alphas: np.ndarray  # unit-modulus combination weights that were accepted
@@ -110,18 +107,6 @@ class EstimationReport:
     combo_used: np.ndarray
     coeff_condition: float
     warnings: tuple[str, ...] = field(default=())
-
-
-def auto_order(singular_values: np.ndarray, rel_tol: float) -> int:
-    """Largest K with sigma_K >= rel_tol * sigma_1 (spectrum given descending)."""
-    if not 0 < rel_tol < 1:
-        raise DomainError(f"rel_tol must lie in (0, 1), got {rel_tol}")
-    s = np.asarray(singular_values, dtype=np.float64).ravel()
-    if s.size == 0:
-        raise DomainError("empty singular value sequence")
-    if s[0] <= 0:
-        return 0
-    return int(np.count_nonzero(s >= rel_tol * s[0]))
 
 
 def _principal_log(nodes: np.ndarray) -> np.ndarray:
@@ -256,7 +241,7 @@ def joint_eig(shift_matrices: list[np.ndarray], options: EspritOptions | None = 
     d = len(mats)
     norms = [np.linalg.norm(A) for A in mats]
     rng = np.random.default_rng(opts.combo_seed)
-    attempts = opts.combo_retries + 1
+    attempts = COMBO_RETRIES + 1
     last_residuals = None
     multiplicity_only = True
     for _ in range(attempts):
@@ -278,10 +263,9 @@ def joint_eig(shift_matrices: list[np.ndarray], options: EspritOptions | None = 
             residuals[p] = np.linalg.norm(D - np.diag(diagonals[-1]))
         multiplicity_only = False
         last_residuals = residuals
-        if all(residuals[p] <= opts.diag_residual_tol * norms[p] for p in range(d)):
+        if all(residuals[p] <= DIAG_RESIDUAL_TOL * norms[p] for p in range(d)):
             nodes = np.stack(diagonals, axis=1)
             return JointDiagonalization(
-                B=_readonly(B),
                 nodes=_readonly(nodes),
                 off_diag_norms=_readonly(residuals),
                 alphas=_readonly(alphas),
@@ -329,7 +313,7 @@ def esprit_nd(
     if opts.model_order is not None:
         _check_capacity(opts.model_order, cap, len(upsilon))
     H = build_hankel(f, xi, upsilon)
-    svd = lb.truncated_svd(H.matrix, min(H.shape))
+    svd = lb.truncated_svd(H.matrix)
     s = svd.spectrum
     K = opts.model_order
     if K is None:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg_backend as lb
 from .domains import IndexSet, _check_sums, deletion_masks
 from .errors import CoverageError, DomainError
 from .linalg_backend import _readonly
@@ -22,6 +23,18 @@ from .signal import MdSequence
 # Numerical-rank cutoff used when no explicit tolerance is given; suited to
 # noise-free data.
 DEFAULT_RANK_REL_TOL = 1e-10
+
+
+def auto_order(singular_values: np.ndarray, rel_tol: float) -> int:
+    """Largest K with sigma_K >= rel_tol * sigma_1 (spectrum given descending)."""
+    if not 0 < rel_tol < 1:
+        raise DomainError(f"rel_tol must lie in (0, 1), got {rel_tol}")
+    s = np.asarray(singular_values, dtype=np.float64).ravel()
+    if s.size == 0:
+        raise DomainError("empty singular value sequence")
+    if s[0] <= 0:
+        return 0
+    return int(np.count_nonzero(s >= rel_tol * s[0]))
 
 
 @dataclass(frozen=True)
@@ -64,19 +77,13 @@ def hankel_rank_profile(
 ) -> tuple[np.ndarray, int]:
     """Singular value sequence (descending) and numerical rank.
 
-    The rank counts singular values at or above ``rel_tol`` times the
-    largest one.
+    The spectrum comes from :func:`~gdesprit.linalg_backend.truncated_svd`,
+    the decomposition the estimator uses, and the rank is
+    :func:`auto_order` of it: the count of singular values at or above
+    ``rel_tol`` times the largest one.
     """
-    if not 0 < rel_tol < 1:
-        raise DomainError(f"rel_tol must lie in (0, 1), got {rel_tol}")
-    matrix = H.matrix if isinstance(H, GdHankel) else np.asarray(H, dtype=np.complex128)
-    if matrix.ndim != 2 or matrix.size == 0:
-        raise DomainError(f"expected a nonempty 2-d matrix, got shape {matrix.shape}")
-    spectrum = np.linalg.svd(matrix, compute_uv=False)
-    if spectrum[0] == 0:
-        return _readonly(spectrum), 0
-    rank = int(np.count_nonzero(spectrum >= rel_tol * spectrum[0]))
-    return _readonly(spectrum), rank
+    spectrum = lb.truncated_svd(H.matrix if isinstance(H, GdHankel) else H).spectrum
+    return spectrum, auto_order(spectrum, rel_tol)
 
 
 def capacity(xi: IndexSet) -> int:

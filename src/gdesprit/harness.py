@@ -16,22 +16,14 @@ import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .domains import IndexSet, erode, minkowski_sum
-from .errors import (
-    CapacityError,
-    CoverageError,
-    DomainError,
-    GenerationError,
-    ModelOrderError,
-    NonFiniteError,
-    PairingError,
-    RankDeficiencyError,
-)
+from .errors import INPUT_ERRORS, RUNTIME_ERRORS, DomainError
 from .esprit import EspritOptions, esprit_nd
 from .serialize import grid_from_spec
 from .signal import MdSequence, add_noise, eval_model, random_model
@@ -39,19 +31,6 @@ from .signal import MdSequence, add_noise, eval_model, random_model
 NOISE_LADDER = (10.0 ** 0, 10.0 ** -0.5, 10.0 ** -1, 10.0 ** -2, 10.0 ** -3, 10.0 ** -4)
 
 CSV_COLUMNS = ("trial", "noise_ratio", "k", "lambda_err", "zeta_err", "coeff_err")
-
-# Failures of an estimate that a trial records as data.
-_ESTIMATION_ERRORS = (
-    CapacityError,
-    CoverageError,
-    DomainError,
-    GenerationError,
-    ModelOrderError,
-    NonFiniteError,
-    PairingError,
-    RankDeficiencyError,
-    np.linalg.LinAlgError,
-)
 
 
 @dataclass(frozen=True)
@@ -203,7 +182,7 @@ def _run_trial(spec: ExperimentSpec, xi: IndexSet, upsilon: IndexSet, omega: Ind
                     wall_time=time.perf_counter() - start,
                 )
             )
-        except _ESTIMATION_ERRORS as exc:  # failures are data, not crashes
+        except INPUT_ERRORS + RUNTIME_ERRORS as exc:  # failures are data, not crashes
             out.append(
                 TrialResult(
                     trial=trial,
@@ -221,11 +200,6 @@ def _run_trial(spec: ExperimentSpec, xi: IndexSet, upsilon: IndexSet, omega: Ind
     return out
 
 
-def _trial_worker(args) -> list[TrialResult]:
-    spec, xi, upsilon, omega, trial = args
-    return _run_trial(spec, xi, upsilon, omega, trial)
-
-
 def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> list[TrialResult]:
     """Run every (trial, noise ratio) cell of a spec deterministically.
 
@@ -237,7 +211,8 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> list[TrialResult]:
     trials = range(spec.trials)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(_trial_worker, [(spec, xi, upsilon, omega, t) for t in trials]))
+            fixed = (repeat(spec), repeat(xi), repeat(upsilon), repeat(omega))
+            chunks = list(pool.map(_run_trial, *fixed, trials))
     else:
         chunks = [_run_trial(spec, xi, upsilon, omega, t) for t in trials]
     results = [r for chunk in chunks for r in chunk]

@@ -29,14 +29,14 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SvdResult:
-    """Leading K left singular vectors and singular values of H.
+    """Left singular vectors of H and its full singular value sequence.
 
-    ``spectrum`` keeps the full singular value sequence of the input so rank
-    diagnostics never need a second decomposition.
+    ``U`` has min(H.shape) columns; callers keep as many leading columns as
+    their model order, so rank diagnostics and the subspace come from one
+    decomposition.
     """
 
     U: np.ndarray
-    S: np.ndarray
     spectrum: np.ndarray
 
 
@@ -50,26 +50,23 @@ class EigResult:
     eigvec_cond: float  # 1-norm condition number ||V||_1 ||B||_1
 
 
-def truncated_svd(matrix: np.ndarray, K: int) -> SvdResult:
-    """Top-K left singular vectors and singular values of a dense complex matrix.
+def truncated_svd(matrix: np.ndarray) -> SvdResult:
+    """Left singular vectors and singular values of a dense complex matrix.
 
-    The decomposition is computed in full and truncated, so S is exactly the
-    leading part of ``spectrum``.  A wide H (more columns than rows) is first
-    reduced to a square factor by the R-SVD of Chan (ACM TOMS 8(1), 1982):
-    with H^* = QR, H = R^* Q^*, so H and R^* share U and the singular values,
-    and Q, whose columns are as long as H's rows, is never formed.  Square and
-    tall H go to one SVD directly.
+    Returns the min(H.shape) leading left singular vectors, never the right
+    ones, which the estimator does not read.  A wide H (more columns than
+    rows) is first reduced to a square factor by the R-SVD of Chan (ACM
+    TOMS 8(1), 1982): with H^* = QR, H = R^* Q^*, so H and R^* share U and
+    the singular values, and Q, whose columns are as long as H's rows, is
+    never formed.  Square and tall H go to one SVD directly.
     """
     H = np.asarray(matrix, dtype=np.complex128)
     if H.ndim != 2 or H.size == 0:
         raise DomainError(f"expected a nonempty 2-d matrix, got shape {H.shape}")
-    kmax = min(H.shape)
-    if not 1 <= K <= kmax:
-        raise DomainError(f"truncation order must be in 1..{kmax}, got {K}")
     if H.shape[1] > H.shape[0]:
         H = np.linalg.qr(H.conj().T, mode="r").conj().T
     U, s, _ = np.linalg.svd(H, full_matrices=False)
-    return SvdResult(U=_readonly(U[:, :K]), S=_readonly(s[:K]), spectrum=_readonly(s))
+    return SvdResult(U=_readonly(U), spectrum=_readonly(s))
 
 
 def eig_full(matrix: np.ndarray) -> EigResult:

@@ -166,13 +166,6 @@ def add_noise(f: MdSequence, ratio: float, rng: np.random.Generator) -> MdSequen
     return MdSequence(f.domain, f.values + e)
 
 
-def _min_node_gap(nodes: np.ndarray) -> float:
-    # max-over-dimensions distance, minimized over pairs
-    diff = np.abs(nodes[:, None, :] - nodes[None, :, :]).max(axis=2)
-    np.fill_diagonal(diff, np.inf)
-    return float(diff.min()) if nodes.shape[0] > 1 else np.inf
-
-
 def _colliding(nodes: np.ndarray) -> np.ndarray:
     diff = np.abs(nodes[:, None, :] - nodes[None, :, :]).max(axis=2)
     np.fill_diagonal(diff, np.inf)
@@ -215,7 +208,7 @@ def random_model(
         r = np.pi * k / K
         phi = 4 * np.pi * k / K
         zetas = 1j * np.stack([r * np.cos(phi), r * np.sin(phi)], axis=1)
-        if _min_node_gap(np.exp(zetas)) < NODE_COLLISION_TOL:
+        if _colliding(np.exp(zetas)).size:
             raise GenerationError(f"spiral layout with K={K} produces colliding nodes")
     else:
         def draw(count: int) -> np.ndarray:

@@ -217,7 +217,7 @@ def test_07a_rank_gap_under_noise(fig6_run):
     cells = [r for r in results if r.noise_ratio == floor_ratio and not r.failed]
     clean, noise, noisy = zip(*_fig6_hankel_parts(spec, floor_ratio, [r.trial for r in cells]))
     for cell, H in zip(cells, noisy):
-        rebuilt = lb.truncated_svd(H, min(H.shape)).spectrum
+        rebuilt = lb.truncated_svd(H).spectrum
         np.testing.assert_allclose(rebuilt, cell.singular_values, rtol=1e-10)
     lower, upper = weyl_jump_bracket(clean, noise, K)
     floor_jump = jumps[floor_ratio]

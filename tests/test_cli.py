@@ -12,6 +12,7 @@ from gdesprit.cli import main, parse_grid_arg
 from gdesprit.domains import erode, make_box, make_shape, minkowski_sum
 from gdesprit.errors import DomainError
 from gdesprit.harness import ModelRecipe, ExperimentSpec, match_frequencies, spec_to_dict
+from gdesprit.serialize import grid_from_spec
 from gdesprit.signal import eval_model
 
 
@@ -63,6 +64,25 @@ class TestParseGridArg:
     def test_malformed(self, text):
         with pytest.raises(DomainError):
             parse_grid_arg(text)
+
+    @pytest.mark.parametrize(
+        "text, spec",
+        [
+            ("box:3,2@1,-1", {"kind": "box", "widths": [3, 2], "offset": [1, -1]}),
+            ("triangle:4", {"kind": "triangle", "side": 4}),
+            ("half_disc:3.5", {"kind": "half_disc", "radius": 3.5}),
+            ("mask:{points}", {"kind": "mask", "points": [[0, 0], [2, 1], [1, 0]]}),
+        ],
+    )
+    def test_text_inline_json_and_file_build_one_grid(self, tmp_path, text, spec):
+        points = tmp_path / "points.json"
+        serialize.dump_json(spec.get("points"), points)
+        descriptor = tmp_path / "grid.json"
+        serialize.dump_json(spec, descriptor)
+        forms = (text.format(points=points), json.dumps(spec), str(descriptor))
+        grids = [grid_from_spec(parse_grid_arg(form)) for form in forms]
+        assert grids[0] == grids[1] == grids[2]
+        assert len(grids[0]) > 1
 
 
 class TestSynth:
@@ -342,6 +362,25 @@ class TestDomainInfo:
         code = run_cli("domain-info", "box:zz")
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            "half_disc:inf",
+            "half_disc:nan",
+            '{"kind": "half_disc", "radius": "3"}',
+            '{"kind": "box", "widths": ["a"]}',
+            '{"kind": "box", "widths": 3}',
+            '{"kind": "box", "widths": [3, 3], "dim": "x"}',
+            '{"kind": "box", "widths": [2.5, 3]}',
+        ],
+    )
+    def test_malformed_descriptor_is_an_input_error(self, capsys, grid):
+        code = run_cli("domain-info", grid)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:")
+        assert "Traceback" not in err
 
 
 class TestParserBasics:

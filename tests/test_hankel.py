@@ -150,6 +150,15 @@ class TestRankProfile:
         spectrum, rank = hankel_rank_profile(np.diag([4.0, 2.0, 1e-14]))
         assert rank == 2
 
+    def test_wide_matrix_matches_reference_spectrum(self):
+        # more columns than rows: the spectrum comes from the R-SVD path
+        rng = np.random.default_rng(3)
+        H = rng.standard_normal((5, 9)) + 1j * rng.standard_normal((5, 9))
+        spectrum, rank = hankel_rank_profile(H)
+        reference = np.linalg.svd(H, compute_uv=False)
+        np.testing.assert_allclose(spectrum, reference, rtol=0, atol=1e-12 * reference[0])
+        assert rank == 5
+
     def test_invalid_tolerance(self):
         with pytest.raises(DomainError):
             hankel_rank_profile(np.eye(2), rel_tol=0.0)

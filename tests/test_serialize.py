@@ -55,6 +55,15 @@ class TestGridSpecs:
             {"kind": "sphere", "radius": 2},
             {"dim": 3, "kind": "box", "widths": [2, 2]},
             "not a dict",
+            {"kind": "half_disc", "radius": float("inf")},
+            {"kind": "half_disc", "radius": float("nan")},
+            {"kind": "half_disc", "radius": "3"},
+            {"kind": "box", "widths": ["a"]},
+            {"kind": "box", "widths": 3},
+            {"kind": "box", "widths": [2.5, 3]},
+            {"kind": "box", "widths": [3, 3], "dim": "x"},
+            {"kind": "triangle", "side": True},
+            {"kind": "mask", "points": 5},
         ],
     )
     def test_invalid_specs(self, spec):
