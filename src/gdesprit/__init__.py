@@ -7,12 +7,10 @@ not boxes, through shift invariance of the signal subspace.
 
 from .domains import (
     DeletionMasks,
-    FiberDecomposition,
     IndexSet,
-    check_convex_fibers,
+    degenerate_fibers,
     deletion_masks,
     erode,
-    fibers,
     make_box,
     make_shape,
     minkowski_sum,
@@ -38,10 +36,8 @@ from .esprit import (
     esprit_block,
     esprit_nd,
     joint_eig,
-    recover_coeffs,
-    shift_matrix,
 )
-from .hankel import GdHankel, build_hankel, capacity, hankel_rank_profile
+from .hankel import GdHankel, build_hankel, capacity
 from .harness import (
     ExperimentSpec,
     FrequencyMatch,
@@ -77,7 +73,6 @@ __all__ = [
     "EstimationReport",
     "ExperimentSpec",
     "ExponentialModel",
-    "FiberDecomposition",
     "FrequencyMatch",
     "GdHankel",
     "GenerationError",
@@ -97,7 +92,7 @@ __all__ = [
     "bundled_scenarios",
     "bundled_spec",
     "capacity",
-    "check_convex_fibers",
+    "degenerate_fibers",
     "deletion_masks",
     "eig_full",
     "erode",
@@ -105,8 +100,6 @@ __all__ = [
     "esprit_block",
     "esprit_nd",
     "eval_model",
-    "fibers",
-    "hankel_rank_profile",
     "joint_eig",
     "lstsq",
     "make_box",
@@ -114,10 +107,8 @@ __all__ = [
     "match_frequencies",
     "minkowski_sum",
     "random_model",
-    "recover_coeffs",
     "run_experiment",
     "singular_value_table",
-    "shift_matrix",
     "truncated_svd",
     "vandermonde",
 ]

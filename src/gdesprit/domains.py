@@ -73,11 +73,6 @@ def _search(values: np.ndarray, query, found):
     return at, found & (values[at] == query)
 
 
-def canonical_order(points: Iterable[Sequence[int]]) -> list[Point]:
-    """Deduplicate and sort points with the last coordinate most significant."""
-    return sorted({tuple(p) for p in points}, key=lambda p: p[::-1])
-
-
 @dataclass(frozen=True)
 class IndexSet:
     """Immutable finite subset of Z^d in canonical order."""
@@ -95,10 +90,6 @@ class IndexSet:
         arr.setflags(write=False)
         object.__setattr__(self, "as_array", arr)
         object.__setattr__(self, "points", tuple(map(tuple, arr.tolist())))
-
-    @cached_property
-    def position(self) -> dict[Point, int]:
-        return {p: i for i, p in enumerate(self.points)}
 
     @cached_property
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
@@ -166,19 +157,6 @@ class IndexSet:
         shift = _coords((shift,), self.dim)[0]
         _check_sums(self.bounding_box, (shift, shift))
         return IndexSet(self.dim, self.as_array + shift)
-
-
-@dataclass(frozen=True)
-class FiberDecomposition:
-    """Grouping of an index set into 1-d fibers along one dimension.
-
-    Each fiber freezes every coordinate except dimension ``dimension_p`` and
-    lists member positions (indices into the owning :class:`IndexSet`) with
-    the varying coordinate strictly increasing.
-    """
-
-    dimension_p: int
-    fibers: tuple[tuple[Point, tuple[int, ...]], ...]
 
 
 @dataclass(frozen=True)
@@ -318,23 +296,10 @@ def _fiber_pass(xi: IndexSet, p: int):
     return order, first, last, defects
 
 
-def fibers(xi: IndexSet, p: int) -> FiberDecomposition:
-    """Decompose ``xi`` into fibers along dimension ``p`` (1-based)."""
-    order, first, _, _ = _fiber_pass(xi, p)
-    frozen = np.delete(xi.as_array[order[first]], p - 1, axis=1).tolist()
-    groups = zip(frozen, np.split(order, first[1:]))
-    return FiberDecomposition(p, tuple((tuple(fz), tuple(m.tolist())) for fz, m in groups))
-
-
 def degenerate_fibers(xi: IndexSet, p: int) -> list[tuple[Point, list[int]]]:
     """Every singleton or gapped fiber along ``p`` as (frozen coordinates,
     varying coordinates); empty exactly when :func:`deletion_masks` succeeds."""
     return _fiber_pass(xi, p)[3]
-
-
-def check_convex_fibers(xi: IndexSet) -> bool:
-    """True when :func:`deletion_masks` succeeds in every dimension."""
-    return not any(degenerate_fibers(xi, p) for p in range(1, xi.dim + 1))
 
 
 def deletion_masks(xi: IndexSet, p: int) -> DeletionMasks:

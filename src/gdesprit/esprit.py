@@ -25,7 +25,6 @@ differ by an integer multiple of 2*pi*i.
 
 from __future__ import annotations
 
-import warnings as _warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,10 +46,6 @@ from .signal import ExponentialModel, MdSequence, vandermonde
 # Condition estimate of the coefficient system beyond which the recovered
 # coefficients are flagged as unreliable.
 COEFF_COND_LIMIT = 1e12
-
-# Allowed Frobenius distance of U^* U from the identity in shift_matrix, in
-# units of eps times the larger dimension of U.
-ORTHONORMAL_TOL_ULPS = 100
 
 # Eigenvalues of the combined shift matrix closer than this fraction of the
 # spectral radius trigger a redraw of the combination.
@@ -141,29 +136,6 @@ def _check_capacity(K: int, cap: int, n_columns: int) -> None:
         )
 
 
-def recover_coeffs(f: MdSequence, nodes: np.ndarray) -> np.ndarray:
-    """Least-squares coefficients for known node vectors.
-
-    Solves min over c of || V c - f || with V the node-power matrix on the
-    sample domain.  A condition estimate above ``COEFF_COND_LIMIT`` raises a
-    RuntimeWarning but still returns the minimum-norm solution.
-    """
-    lam = np.asarray(nodes, dtype=np.complex128)
-    if lam.ndim == 1:
-        lam = lam.reshape(-1, 1)
-    if lam.shape[1] != f.domain.dim:
-        raise DomainError(f"nodes have dimension {lam.shape[1]}, samples {f.domain.dim}")
-    if lam.shape[0] > len(f.domain):
-        raise DomainError(
-            f"{lam.shape[0]} nodes but only {len(f.domain)} samples; system is underdetermined"
-        )
-    V = vandermonde(f.domain, np.log(lam))
-    coeffs, cond = lb.lstsq_minimum_norm(V, f.values)
-    for message in _coeff_warnings(cond):
-        _warnings.warn(message, RuntimeWarning, stacklevel=2)
-    return coeffs
-
-
 def _shift_from_masks(U: np.ndarray, masks: DeletionMasks) -> np.ndarray:
     # U has orthonormal columns, so with W the rows that keep_minus drops
     # (the last member of every fiber), U_-^* U_- = I - W^* W and by Woodbury
@@ -186,38 +158,6 @@ def _shift_from_masks(U: np.ndarray, masks: DeletionMasks) -> np.ndarray:
             rank=rank,
         ) from err
     return G + W.conj().T @ correction
-
-
-def shift_matrix(U: np.ndarray, xi: IndexSet, p: int) -> np.ndarray:
-    """Shift matrix A_p of the subspace U along dimension p (1-based).
-
-    U must have orthonormal columns (such as the leading left singular
-    vectors of a sample matrix) and one row per point of ``xi`` in canonical
-    order; a U whose Gram matrix U^* U departs from the identity beyond
-    rounding raises :class:`DomainError`.  The result satisfies
-    U_minus @ A_p = U_plus in the least-squares sense, where the two row
-    selections drop the last (respectively first) member of every fiber
-    along dimension p.  It is computed from the fiber-count-sized system
-    that orthonormality leaves, and raises :class:`RankDeficiencyError`
-    when U_minus loses full column rank.
-    """
-    U = np.asarray(U, dtype=np.complex128)
-    if U.ndim != 2 or U.shape[0] != len(xi):
-        raise DomainError(f"U has shape {U.shape}, expected {len(xi)} rows")
-    masks = deletion_masks(xi, p)
-    if len(masks.keep_minus) < U.shape[1]:
-        raise CapacityError(
-            f"subspace has {U.shape[1]} columns but only {len(masks.keep_minus)} rows "
-            f"survive the deletion along dimension {p}",
-            capacity=len(masks.keep_minus),
-            requested=U.shape[1],
-        )
-    gram_error = float(np.linalg.norm(U.conj().T @ U - np.eye(U.shape[1])))
-    if gram_error > ORTHONORMAL_TOL_ULPS * max(U.shape) * np.finfo(np.float64).eps:
-        raise DomainError(
-            f"U must have orthonormal columns; ||U^* U - I||_F = {gram_error:.3e}"
-        )
-    return _readonly(_shift_from_masks(U, masks))
 
 
 def joint_eig(shift_matrices: list[np.ndarray], options: EspritOptions | None = None) -> JointDiagonalization:

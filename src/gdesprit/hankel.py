@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg_backend as lb
 from .domains import IndexSet, _check_sums, deletion_masks
 from .errors import CoverageError, DomainError
 from .linalg_backend import _readonly
@@ -70,20 +69,6 @@ def build_hankel(f: MdSequence, xi: IndexSet, upsilon: IndexSet) -> GdHankel:
         problem = "is required by the structured matrix but was not provided"
         raise CoverageError(f"sample at index {missing} {problem}", missing=missing)
     return GdHankel(matrix=_readonly(f.values[idx]), xi=xi, upsilon=upsilon)
-
-
-def hankel_rank_profile(
-    H: GdHankel | np.ndarray, rel_tol: float = DEFAULT_RANK_REL_TOL
-) -> tuple[np.ndarray, int]:
-    """Singular value sequence (descending) and numerical rank.
-
-    The spectrum comes from :func:`~gdesprit.linalg_backend.truncated_svd`,
-    the decomposition the estimator uses, and the rank is
-    :func:`auto_order` of it: the count of singular values at or above
-    ``rel_tol`` times the largest one.
-    """
-    spectrum = lb.truncated_svd(H.matrix if isinstance(H, GdHankel) else H).spectrum
-    return spectrum, auto_order(spectrum, rel_tol)
 
 
 def capacity(xi: IndexSet) -> int:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import json
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from itertools import repeat
@@ -22,11 +21,11 @@ from pathlib import Path
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .domains import IndexSet, erode, minkowski_sum
+from .domains import IndexSet, _number, erode, minkowski_sum
 from .errors import INPUT_ERRORS, RUNTIME_ERRORS, DomainError
 from .esprit import EspritOptions, esprit_nd
 from .serialize import grid_from_spec
-from .signal import MdSequence, add_noise, eval_model, random_model
+from .signal import add_noise, eval_model, random_model
 
 NOISE_LADDER = (10.0 ** 0, 10.0 ** -0.5, 10.0 ** -1, 10.0 ** -2, 10.0 ** -3, 10.0 ** -4)
 
@@ -42,6 +41,10 @@ class ModelRecipe:
     d: int
     seed: int
     damping_bound: float = 0.0
+
+    def __post_init__(self):
+        if self.seed < 0:  # numpy seed sequences take nonnegative integers only
+            raise DomainError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -85,7 +88,6 @@ class TrialResult:
     coeff_rel_error: float
     singular_values: np.ndarray
     pairing_residuals: np.ndarray
-    wall_time: float
     failed: bool = False
     error: str | None = None
 
@@ -157,7 +159,6 @@ def _run_trial(spec: ExperimentSpec, xi: IndexSet, upsilon: IndexSet, omega: Ind
     out = []
     for ratio_index, ratio in enumerate(spec.noise_ratios):
         noise_rng = np.random.default_rng((recipe.seed, trial, ratio_index))
-        start = time.perf_counter()
         try:
             noisy = add_noise(clean, ratio, noise_rng)
             options = EspritOptions(
@@ -179,7 +180,6 @@ def _run_trial(spec: ExperimentSpec, xi: IndexSet, upsilon: IndexSet, omega: Ind
                     coeff_rel_error=coeff_rel,
                     singular_values=np.asarray(report.singular_values),
                     pairing_residuals=np.asarray(report.pairing_residuals),
-                    wall_time=time.perf_counter() - start,
                 )
             )
         except INPUT_ERRORS + RUNTIME_ERRORS as exc:  # failures are data, not crashes
@@ -192,7 +192,6 @@ def _run_trial(spec: ExperimentSpec, xi: IndexSet, upsilon: IndexSet, omega: Ind
                     coeff_rel_error=float("nan"),
                     singular_values=np.empty(0),
                     pairing_residuals=np.empty(0),
-                    wall_time=time.perf_counter() - start,
                     failed=True,
                     error=f"{type(exc).__name__}: {exc}",
                 )
@@ -355,31 +354,15 @@ def bundled_spec(name: str, output: str | None = None) -> ExperimentSpec:
     return ExperimentSpec(name=name, output=output, **kwargs)
 
 
-def spec_to_dict(spec: ExperimentSpec) -> dict:
-    grid: dict = {"xi": spec.xi}
-    if spec.upsilon is not None:
-        grid["upsilon"] = spec.upsilon
-    else:
-        grid["omega"] = spec.omega
-    return {
-        "name": spec.name,
-        "model": asdict(spec.model),
-        "grid": grid,
-        "noise_ratios": list(spec.noise_ratios),
-        "trials": spec.trials,
-        "output": spec.output,
-    }
-
-
 def spec_from_dict(data: dict) -> ExperimentSpec:
     try:
         model = data["model"]
         recipe = ModelRecipe(
             layout=model["layout"],
-            K=int(model["K"]),
-            d=int(model["d"]),
-            seed=int(model["seed"]),
-            damping_bound=float(model.get("damping_bound", 0.0)),
+            K=_number(model["K"], "K", integral=True),
+            d=_number(model["d"], "d", integral=True),
+            seed=_number(model["seed"], "seed", integral=True),
+            damping_bound=_number(model.get("damping_bound", 0.0), "damping_bound"),
         )
         grid = data["grid"]
         return ExperimentSpec(
@@ -389,7 +372,7 @@ def spec_from_dict(data: dict) -> ExperimentSpec:
             upsilon=grid.get("upsilon"),
             omega=grid.get("omega"),
             noise_ratios=tuple(data.get("noise_ratios", (0.0,))),
-            trials=int(data.get("trials", 20)),
+            trials=_number(data.get("trials", 20), "trials", integral=True),
             output=data.get("output"),
         )
     except (KeyError, TypeError) as exc:

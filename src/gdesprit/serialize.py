@@ -29,7 +29,10 @@ def _pair(z: complex) -> list[float]:
 def _from_pair(raw) -> complex:
     if not isinstance(raw, (list, tuple)) or len(raw) != 2:
         raise DomainError(f"expected a [real, imag] pair, got {raw!r}")
-    return complex(float(raw[0]), float(raw[1]))
+    try:
+        return complex(float(raw[0]), float(raw[1]))
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"expected a [real, imag] pair of numbers, got {raw!r}") from exc
 
 
 def grid_to_spec(grid: IndexSet) -> dict:

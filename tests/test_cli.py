@@ -11,7 +11,7 @@ from gdesprit import serialize
 from gdesprit.cli import main, parse_grid_arg
 from gdesprit.domains import erode, make_box, make_shape, minkowski_sum
 from gdesprit.errors import DomainError
-from gdesprit.harness import ModelRecipe, ExperimentSpec, match_frequencies, spec_to_dict
+from gdesprit.harness import match_frequencies
 from gdesprit.serialize import grid_from_spec
 from gdesprit.signal import eval_model
 
@@ -255,6 +255,18 @@ class TestEstimate:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_non_numeric_sample_value(self, tmp_path, capsys):
+        samples_path, _ = synth(tmp_path)
+        data = serialize.load_json(samples_path)
+        data["values"][0] = ["abc", 1]
+        serialize.dump_json(data, samples_path)
+        code = run_cli(
+            "estimate", str(samples_path), "--xi", "box:5,5", "--upsilon", "box:5,5",
+            "--order", "6",
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_missing_sample_file(self, tmp_path, capsys):
         code = run_cli(
             "estimate", str(tmp_path / "absent.json"), "--xi", "box:3,3",
@@ -266,17 +278,18 @@ class TestEstimate:
 
 class TestExperiment:
     @staticmethod
-    def _spec_file(tmp_path, name="cli_exp"):
-        spec = ExperimentSpec(
-            name=name,
-            model=ModelRecipe(layout="uniform_imag", K=3, d=2, seed=21),
-            xi={"kind": "box", "widths": [3, 3]},
-            upsilon={"kind": "box", "widths": [3, 3]},
-            noise_ratios=(0.0, 1e-3),
-            trials=3,
-        )
+    def _spec_file(tmp_path, mutate=lambda data: None):
+        data = {
+            "name": "cli_exp",
+            "model": {"layout": "uniform_imag", "K": 3, "d": 2, "seed": 21},
+            "grid": {"xi": {"kind": "box", "widths": [3, 3]},
+                     "upsilon": {"kind": "box", "widths": [3, 3]}},
+            "noise_ratios": [0.0, 1e-3],
+            "trials": 3,
+        }
+        mutate(data)
         path = tmp_path / "spec.json"
-        serialize.dump_json(spec_to_dict(spec), path)
+        serialize.dump_json(data, path)
         return path
 
     def test_spec_file_run(self, tmp_path, capsys):
@@ -316,6 +329,16 @@ class TestExperiment:
         code = run_cli("experiment")
         assert code == 2
         assert "exactly one" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [lambda d: d["model"].update(K="abc"), lambda d: d.update(trials="two")],
+        ids=["K", "trials"],
+    )
+    def test_malformed_spec_is_an_input_error(self, tmp_path, capsys, mutate):
+        code = run_cli("experiment", str(self._spec_file(tmp_path, mutate)), "--out", str(tmp_path))
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_unknown_scenario_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -11,12 +11,9 @@ import oracles
 from strategies import index_sets, point_lists, points, run_domains
 from gdesprit.domains import (
     IndexSet,
-    canonical_order,
-    check_convex_fibers,
     degenerate_fibers,
     deletion_masks,
     erode,
-    fibers,
     make_box,
     make_shape,
     minkowski_sum,
@@ -27,6 +24,10 @@ from gdesprit.errors import (
     DomainError,
 )
 from gdesprit.hankel import capacity
+
+
+def convex_fibers(xi):
+    return not any(degenerate_fibers(xi, p) for p in range(1, xi.dim + 1))
 
 
 class TestCanonicalOrder:
@@ -49,7 +50,8 @@ class TestCanonicalOrder:
     @given(point_lists())
     def test_matches_reference_sort(self, dim_pts):
         d, pts = dim_pts
-        assert canonical_order(pts) == oracles.canonical_sort_ref(pts)
+        ref = oracles.canonical_sort_ref(pts)
+        assert IndexSet(d, tuple(pts)).as_array.tolist() == [list(p) for p in ref]
 
     @given(point_lists())
     def test_construction_deduplicates_and_sorts(self, dim_pts):
@@ -79,7 +81,7 @@ class TestIndexSet:
         assert (0, 0) not in xi
         assert (1, 2, 3) not in xi
         for i, p in enumerate(xi.points):
-            assert xi.position[p] == i
+            assert xi.locate(np.array(p)[:, None]).tolist() == [i]
 
     def test_as_array_read_only(self):
         xi = make_box((2, 2))
@@ -124,7 +126,7 @@ class TestIndexSet:
         assert list(xi.points) == oracles.canonical_sort_ref(pts)
         for i, p in enumerate(xi.points):
             assert p in xi
-            assert xi.position[p] == i
+            assert xi.locate(np.array(p)[:, None]).tolist() == [i]
         assert (big - 7,) * d not in xi
         assert ((1,) + (-big,) * (d - 1)) not in xi
         assert xi.locate(xi.as_array.T).tolist() == list(range(len(xi)))
@@ -138,7 +140,7 @@ class TestLocate:
     @given(index_sets(dim=2), st.lists(points(2), min_size=1, max_size=10))
     def test_matches_position(self, xi, queries):
         got = xi.locate(np.array(queries).T)
-        assert got.tolist() == [xi.position.get(q, -1) for q in queries]
+        assert got.tolist() == [xi.points.index(q) if q in xi.points else -1 for q in queries]
 
     def test_keeps_query_shape(self):
         xi = make_box((3, 3))
@@ -165,7 +167,7 @@ class TestLocate:
         assert xi.locate(xi.as_array.T).tolist() == [0, 1, 2]
         for p in pts:
             assert p in xi
-            assert xi.position[p] == xi.points.index(p)
+            assert xi.locate(np.array(p)[:, None]).tolist() == [xi.points.index(p)]
         for absent in ((1,) + (0,) * 63, (0,) * 62 + (1, 1), (1,) * 63 + (0,)):
             assert absent not in xi
         queries = np.array([(1,) * 63 + (0,), (0,) * 63 + (1,)]).T
@@ -300,46 +302,55 @@ class TestMinkowskiAndErosion:
 
 class TestFibers:
     def test_box_fiber_counts(self):
+        # two fibers of three along dimension 1, three fibers of two along 2;
+        # each deletion drops one member per fiber
         xi = make_box((3, 2))
-        along_1 = fibers(xi, 1)
-        along_2 = fibers(xi, 2)
-        assert len(along_1.fibers) == 2
-        assert all(len(members) == 3 for _, members in along_1.fibers)
-        assert len(along_2.fibers) == 3
-        assert all(len(members) == 2 for _, members in along_2.fibers)
+        assert len(deletion_masks(xi, 1).keep_minus) == 6 - 2
+        assert len(deletion_masks(xi, 2).keep_minus) == 6 - 3
 
     def test_fiber_members_increase_along_dimension(self):
-        xi = make_shape({"kind": "half_disc", "radius": 3})
-        for p in (1, 2):
-            for _, members in fibers(xi, p).fibers:
-                coords = [xi.points[i][p - 1] for i in members]
-                assert coords == sorted(coords)
+        # the half-disc of radius 3 without its middle column: every fiber
+        # along dimension 1 has a gap and lists its members in increasing order
+        hd = make_shape({"kind": "half_disc", "radius": 3})
+        xi = IndexSet(2, tuple(q for q in hd.points if q[0] != 0))
+        defects = degenerate_fibers(xi, 1)
+        assert [frozen for frozen, _ in defects] == [(0,), (1,), (2,)]
+        for (j,), coords in defects:
+            assert coords == [i for i, jj in hd.points if jj == j and i != 0]
 
-    @given(index_sets(dim=2, max_size=10), st.integers(1, 2))
-    def test_fibers_match_reference(self, xi, p):
-        ref = oracles.fibers_ref(xi.points, p)
-        got = {frozen: tuple(xi.points[i] for i in members) for frozen, members in fibers(xi, p).fibers}
-        assert {k: tuple(v) for k, v in ref.items()} == got
+    @given(st.integers(1, 2).flatmap(lambda p: st.tuples(run_domains(p), st.just(p))))
+    def test_fibers_match_reference(self, case):
+        # the rows the masks drop are the last and first members of the reference fibers
+        xi, p = case
+        ref = oracles.fibers_ref(xi.points, p).values()
+        masks = deletion_masks(xi, p)
+        dropped = [
+            set(xi.points) - {xi.points[i] for i in keep}
+            for keep in (masks.keep_minus, masks.keep_plus)
+        ]
+        assert dropped == [{m[-1] for m in ref}, {m[0] for m in ref}]
 
     def test_invalid_dimension(self):
-        with pytest.raises(DomainError):
-            fibers(make_box((2, 2)), 3)
+        for p in (0, 3):
+            for fiber_fn in (deletion_masks, degenerate_fibers):
+                with pytest.raises(DomainError):
+                    fiber_fn(make_box((2, 2)), p)
 
 
 class TestConvexity:
     def test_boxes_are_convex(self):
-        assert check_convex_fibers(make_box((2, 2)))
-        assert check_convex_fibers(make_box((4, 3, 2)))
+        assert convex_fibers(make_box((2, 2)))
+        assert convex_fibers(make_box((4, 3, 2)))
 
     def test_triangle_corner_singletons(self):
-        assert not check_convex_fibers(make_shape({"kind": "triangle", "side": 4}))
+        assert not convex_fibers(make_shape({"kind": "triangle", "side": 4}))
 
     def test_half_disc_pole_singleton(self):
-        assert not check_convex_fibers(make_shape({"kind": "half_disc", "radius": 3}))
+        assert not convex_fibers(make_shape({"kind": "half_disc", "radius": 3}))
 
     def test_gapped_fiber_rejected(self):
         xi = IndexSet(2, ((0, 0), (2, 0), (0, 1), (1, 1), (2, 1)))
-        assert not check_convex_fibers(xi)
+        assert not convex_fibers(xi)
 
     def test_trimmed_triangle_is_convex(self):
         side = 5
@@ -349,17 +360,17 @@ class TestConvexity:
             for j in range(1, side)
             if i + j <= side + 1
         ]
-        assert check_convex_fibers(IndexSet(2, tuple(pts)))
+        assert convex_fibers(IndexSet(2, tuple(pts)))
 
     def test_trimmed_half_disc_is_convex(self):
         hd = make_shape({"kind": "half_disc", "radius": 4})
         pts = [p for p in hd.points if p not in {(0, 4), (4, 0), (-4, 0)}]
-        assert check_convex_fibers(IndexSet(2, tuple(pts)))
+        assert convex_fibers(IndexSet(2, tuple(pts)))
 
     @given(index_sets(dim=2, max_size=10))
     def test_matches_reference(self, xi):
         ref = all(oracles.convex_fibers_ref(xi.points, p) for p in (1, 2))
-        assert check_convex_fibers(xi) == ref
+        assert convex_fibers(xi) == ref
 
 
 class TestDeletionMasks:
@@ -445,7 +456,7 @@ class TestDeletionMasks:
     def test_mask_size_formula(self, xi):
         # dropping one member per fiber: |keep| = |points| - #fibers
         masks = deletion_masks(xi, 1)
-        n_fibers = len(fibers(xi, 1).fibers)
+        n_fibers = len(oracles.fibers_ref(xi.points, 1))
         assert len(masks.keep_minus) == len(xi) - n_fibers
 
 
@@ -462,7 +473,7 @@ class TestCapacity:
 
     @given(run_domains(1))
     def test_matches_reference_when_defined(self, xi):
-        if check_convex_fibers(xi):
+        if convex_fibers(xi):
             assert capacity(xi) == oracles.capacity_ref(xi.points)
 
     def test_degenerate_grid_raises(self):

@@ -25,7 +25,6 @@ from gdesprit.harness import (
     run_experiment,
     singular_value_table,
     spec_from_dict,
-    spec_to_dict,
     write_results,
 )
 
@@ -297,7 +296,6 @@ class TestSingularValueTable:
             coeff_rel_error=0.0,
             singular_values=np.asarray(spectrum, dtype=float),
             pairing_residuals=np.zeros(2),
-            wall_time=0.0,
             failed=failed,
             error="boom" if failed else None,
         )
@@ -361,10 +359,23 @@ class TestBundledScenarios:
             bundled_spec("nope")
 
 
+def small_spec_dict():
+    """small_spec() as a spec file holds it."""
+    return {
+        "name": "unit",
+        "model": {"layout": "uniform_imag", "K": 3, "d": 2, "seed": 7},
+        "grid": {"xi": {"dim": 2, "kind": "box", "widths": [3, 3]},
+                 "upsilon": {"dim": 2, "kind": "box", "widths": [3, 3]}},
+        "noise_ratios": [0.0, 1e-2],
+        "trials": 3,
+    }
+
+
 class TestSpecSerialization:
     def test_round_trip_explicit_columns(self):
-        spec = small_spec(output="/tmp/somewhere")
-        assert spec_from_dict(spec_to_dict(spec)) == spec
+        data = small_spec_dict()
+        data["output"] = "/tmp/somewhere"
+        assert spec_from_dict(data) == small_spec(output="/tmp/somewhere")
 
     def test_round_trip_erosion_form(self):
         spec = ExperimentSpec(
@@ -375,7 +386,15 @@ class TestSpecSerialization:
             noise_ratios=(0.0, 1e-3),
             trials=4,
         )
-        assert spec_from_dict(spec_to_dict(spec)) == spec
+        data = {
+            "name": "er",
+            "model": {"layout": "spiral", "K": 5, "d": 2, "seed": 9, "damping_bound": 0.1},
+            "grid": {"xi": {"dim": 2, "kind": "box", "widths": [3, 3]},
+                     "omega": {"dim": 2, "kind": "half_disc", "radius": 6}},
+            "noise_ratios": [0.0, 1e-3],
+            "trials": 4,
+        }
+        assert spec_from_dict(data) == spec
 
     def test_defaults_filled_in(self):
         data = {
@@ -397,10 +416,18 @@ class TestSpecSerialization:
             lambda d: d["model"].pop("K"),
             lambda d: d["grid"].pop("xi"),
             lambda d: d.update(model=3),
+            lambda d: d["model"].update(K="abc"),
+            lambda d: d["model"].update(K=2.7),
+            lambda d: d["model"].update(d=None),
+            lambda d: d["model"].update(seed=True),
+            lambda d: d["model"].update(seed=-1),
+            lambda d: d["model"].update(damping_bound="x"),
+            lambda d: d.update(trials="two"),
+            lambda d: d.update(trials=1.5),
         ],
     )
     def test_malformed_input(self, mutate):
-        data = spec_to_dict(small_spec())
+        data = small_spec_dict()
         mutate(data)
         with pytest.raises(DomainError):
             spec_from_dict(data)

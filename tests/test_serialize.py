@@ -118,18 +118,20 @@ class TestSamplesRoundTrip:
         np.testing.assert_array_equal(back.values, f.values)
 
     def test_value_order_is_canonical_order(self):
-        grid = make_box((2, 2))
-        f = eval_model(random_model(2, 2, np.random.default_rng(1)), grid)
-        data = samples_to_dict(f)
-        for point, pair in zip(grid.points, data["values"]):
-            v = f.values[grid.position[point]]
-            assert pair == [v.real, v.imag]
+        model = random_model(2, 2, np.random.default_rng(1))
+        data = samples_to_dict(eval_model(model, make_box((2, 2))))
+        for point, pair in zip([(0, 0), (1, 0), (0, 1), (1, 1)], data["values"]):
+            v = np.sum(model.coeffs * np.exp(model.zetas @ np.array(point)))
+            np.testing.assert_allclose(pair, [v.real, v.imag], rtol=1e-13)
 
     def test_malformed_samples(self):
         with pytest.raises(DomainError):
             samples_from_dict({"values": [[0, 0]]})
         with pytest.raises(DomainError):
             samples_from_dict({"grid": {"kind": "box", "widths": [2]}, "values": [[1], [2]]})
+        for pair in (["abc", 1], [None, 0], [[1], 0]):
+            with pytest.raises(DomainError, match="pair of numbers"):
+                samples_from_dict({"grid": {"kind": "box", "widths": [2]}, "values": [[0, 0], pair]})
 
     def test_length_mismatch_detected(self):
         with pytest.raises(DomainError):
