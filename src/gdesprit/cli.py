@@ -70,6 +70,8 @@ def _sidecar_path(out: Path) -> Path:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    if args.seed < 0:  # numpy seed sequences take nonnegative integers only
+        raise DomainError(f"--seed must be nonnegative, got {args.seed}")
     omega_spec = parse_grid_arg(args.grid)
     omega = serialize.grid_from_spec(omega_spec)
     if args.model is not None:

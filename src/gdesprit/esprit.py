@@ -21,10 +21,17 @@ any single A_p.  Two input adapters feed it:
 Frequencies are principal logarithms of the recovered nodes, so imaginary
 parts lie in (-pi, pi]; integer sampling cannot tell frequencies apart that
 differ by an integer multiple of 2*pi*i.
+
+The coefficients are the least-squares fit of the recovered terms to all
+samples.  On a product-set domain they come from the normal equations,
+built from per-dimension tables without forming the node-power matrix V,
+while V^*V stays well conditioned; otherwise from an SVD-based solve on V,
+where a numerical rank below the model order is a :class:`ModelOrderError`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,11 +48,15 @@ from .errors import (
 )
 from .hankel import DEFAULT_RANK_REL_TOL, auto_order, build_hankel
 from .linalg_backend import _readonly
-from .signal import ExponentialModel, MdSequence, vandermonde
+from .signal import ExponentialModel, MdSequence, _axis_powers, vandermonde
 
 # Condition estimate of the coefficient system beyond which the recovered
 # coefficients are flagged as unreliable.
 COEFF_COND_LIMIT = 1e12
+
+# Condition of the Gram matrix V^*V (the square of V's) up to which
+# coefficients on a product-set domain come from the normal equations.
+GRAM_COND_LIMIT = 1e8
 
 # Eigenvalues of the combined shift matrix closer than this fraction of the
 # spectral radius trigger a redraw of the combination.
@@ -81,6 +92,8 @@ class EspritOptions:
             raise DomainError(f"model order must be at least 1, got {self.model_order}")
         if not 0 < self.auto_rel_tol < 1:
             raise DomainError(f"auto_rel_tol must lie in (0, 1), got {self.auto_rel_tol}")
+        if self.combo_seed < 0:  # numpy seed sequences take nonnegative integers only
+            raise DomainError(f"combo_seed must be nonnegative, got {self.combo_seed}")
 
 
 @dataclass(frozen=True)
@@ -117,6 +130,45 @@ def _coeff_warnings(cond: float) -> tuple[str, ...]:
             "coefficients may be unreliable",
         )
     return ()
+
+
+def _coefficients(f: MdSequence, zetas: np.ndarray) -> tuple[np.ndarray, float]:
+    """Least-squares coefficients of the terms ``zetas`` on the samples, and
+    the condition number of their node-power matrix V.
+
+    On a product set (a box, possibly gapped) V is the Khatri-Rao product of
+    the per-dimension tables T_p, so V^*V is the Hadamard product of the
+    T_p^*T_p and V^*f is d contractions of the sample tensor; V is never
+    formed.  Those normal equations are solved only while V^*V is finite and
+    its condition is at most ``GRAM_COND_LIMIT`` (a non-finite table makes a
+    diagonal entry of V^*V non-finite).  Every other case goes to the
+    SVD-based solve on V, and there a rank below K raises
+    :class:`ModelOrderError`.
+    """
+    K = zetas.shape[0]
+    axes = f.domain.axes
+    shape = [len(values) for values, _ in axes]
+    if len(f.domain) == math.prod(shape):
+        with np.errstate(over="ignore", invalid="ignore"):
+            tables = [_axis_powers(values, zetas[:, p]) for p, (values, _) in enumerate(axes)]
+            gram = np.ones((K, K), dtype=np.complex128)
+            for T in tables:
+                gram *= T.conj().T @ T
+        if np.isfinite(gram).all():
+            lam = np.linalg.eigvalsh(gram)
+            if 0 < lam[-1] <= GRAM_COND_LIMIT * lam[0]:
+                # canonical order is first coordinate fastest
+                rhs = f.values.reshape(-1, shape[0]) @ tables[0].conj()
+                for T, n in zip(tables[1:], shape[1:]):
+                    rhs = (rhs.reshape(-1, n, K) * T.conj()).sum(axis=1)
+                return np.linalg.solve(gram, rhs[0]), float(np.sqrt(lam[-1] / lam[0]))
+    coeffs, cond = lb.lstsq_minimum_norm(vandermonde(f.domain, zetas), f.values)
+    if not np.isfinite(cond):
+        raise ModelOrderError(
+            f"least squares dropped a term entirely (model order {K} exceeds the "
+            "numerical rank of the data); lower the order or use automatic selection"
+        )
+    return coeffs, cond
 
 
 def _check_capacity(K: int, cap: int, n_columns: int) -> None:
@@ -270,12 +322,7 @@ def esprit_nd(
     shifts = [_shift_from_masks(U, m) for m in masks]
     jd = joint_eig(shifts, opts)
     zetas = _principal_log(jd.nodes)
-    coeffs, cond = lb.lstsq_minimum_norm(vandermonde(f.domain, zetas), f.values)
-    if np.any(coeffs == 0):
-        raise ModelOrderError(
-            f"least squares dropped a term entirely (model order {K} exceeds the "
-            "numerical rank of the data); lower the order or use automatic selection"
-        )
+    coeffs, cond = _coefficients(f, zetas)
     return EstimationReport(
         model=ExponentialModel(dim=d, zetas=zetas, coeffs=coeffs),
         singular_values=s,

@@ -100,6 +100,25 @@ class MdSequence:
         return MdSequence(sub, self.values[idx])
 
 
+def _axis_powers(values: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """exp(v z_k) for every axis value v and frequency z_k, shape (len(values), K),
+    from one cos, one sin and one real exp table.
+
+    On a product set the Vandermonde matrix is the Khatri-Rao product of
+    these per-dimension tables.  Each factor overflows on its own, so a
+    table can be non-finite where the full product is not.
+    """
+    v = values.astype(np.float64)
+    angle = np.multiply.outer(v, z.imag)
+    table = np.empty(angle.shape, dtype=np.complex128)
+    np.cos(angle, out=table.real)
+    np.sin(angle, out=table.imag)
+    modulus = np.exp(np.multiply.outer(v, z.real))
+    table.real *= modulus
+    table.imag *= modulus
+    return table
+
+
 def vandermonde(domain: IndexSet, zetas: np.ndarray) -> np.ndarray:
     """Matrix of node powers exp(<j, zeta_k>) over the domain's canonical order.
 
@@ -120,10 +139,7 @@ def vandermonde(domain: IndexSet, zetas: np.ndarray) -> np.ndarray:
     if z.ndim == 1:
         z = z.reshape(-1, 1)
     for p, (values, rank) in enumerate(domain.axes):
-        angle = np.multiply.outer(values.astype(np.float64), z.imag[:, p])
-        table = np.empty(angle.shape, dtype=np.complex128)
-        np.cos(angle, out=table.real)
-        np.sin(angle, out=table.imag)
+        table = _axis_powers(values, 1j * z.imag[:, p])  # unit-modulus phase factor
         if p == 0:
             out = table[rank]
         else:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 from hypothesis import strategies as st
 
@@ -25,17 +27,30 @@ def index_sets(draw, dim=None, min_size=1, max_size=12, lo=-6, hi=6):
 
 
 @st.composite
-def gapped_index_sets(draw, max_size=20):
-    """1- to 3-d sets whose coordinate values along every dimension start
-    below zero and step by gaps of 2 to 9."""
-    d = draw(st.integers(1, 3))
+def gapped_axes(draw):
+    """1 to 3 lists of coordinate values, each starting below zero and
+    stepping by gaps of 2 to 9."""
     axes = []
-    for _ in range(d):
+    for _ in range(draw(st.integers(1, 3))):
         start = draw(st.integers(-40, -1))
         gaps = draw(st.lists(st.integers(2, 9), max_size=4))
         axes.append(np.cumsum([start, *gaps]).tolist())
+    return axes
+
+
+@st.composite
+def gapped_index_sets(draw, max_size=20):
+    """1- to 3-d sets of points drawn from ``gapped_axes``."""
+    axes = draw(gapped_axes())
     pick = st.tuples(*(st.sampled_from(axis) for axis in axes))
-    return IndexSet(d, tuple(draw(st.lists(pick, min_size=1, max_size=max_size))))
+    return IndexSet(len(axes), tuple(draw(st.lists(pick, min_size=1, max_size=max_size))))
+
+
+@st.composite
+def gapped_product_sets(draw):
+    """Every point of the product of ``gapped_axes``: a gapped box."""
+    axes = draw(gapped_axes())
+    return IndexSet(len(axes), tuple(itertools.product(*axes)))
 
 
 @st.composite

@@ -135,6 +135,15 @@ class TestSynth:
         assert code == 2
         assert "--order is required" in capsys.readouterr().err
 
+    def test_negative_seed_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        code = run_cli(
+            "synth", "--grid", "box:5,5", "--order", "2", "--seed", "-1", "--out", str(out)
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: --seed must be nonnegative")
+        assert not out.exists()
+
 
 class TestEstimate:
     def test_round_trip_recovers_model(self, tmp_path, capsys):
@@ -234,6 +243,16 @@ class TestEstimate:
         code = run_cli("estimate", str(samples_path), "--xi", "box:5,5", *extra)
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_negative_seed_is_a_usage_error(self, tmp_path, capsys):
+        samples_path, _ = synth(tmp_path)
+        capsys.readouterr()
+        code = run_cli(
+            "estimate", str(samples_path), "--xi", "box:5,5", "--upsilon", "box:5,5",
+            "--order", "6", "--seed", "-1",
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: combo_seed must be nonnegative")
 
     def test_capacity_violation_exit_code(self, tmp_path, capsys):
         samples_path, _ = synth(tmp_path, order=6)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles
+from gdesprit import linalg_backend
 from gdesprit.domains import IndexSet, deletion_masks, make_box, make_shape, minkowski_sum, erode
 from gdesprit.errors import (
     CapacityError,
@@ -28,6 +30,7 @@ from gdesprit.esprit import (
     esprit_block,
     esprit_nd,
     _coeff_warnings,
+    _coefficients,
     _shift_from_masks,
     joint_eig,
 )
@@ -41,6 +44,7 @@ from gdesprit.signal import (
     random_model,
     vandermonde,
 )
+from strategies import gapped_product_sets
 
 EPS = np.finfo(np.float64).eps
 
@@ -142,8 +146,33 @@ class TestEsprit1d:
             zetas[0] = 0
 
 
+@pytest.fixture
+def gelsd_calls(monkeypatch):
+    """Count the calls of the SVD-based least-squares solve."""
+    calls = []
+    solve = linalg_backend.lstsq_minimum_norm
+
+    def counted(A, Y):
+        calls.append(A.shape)
+        return solve(A, Y)
+
+    monkeypatch.setattr(linalg_backend, "lstsq_minimum_norm", counted)
+    return calls
+
+
+def model_samples(domain, zetas, rng, noise=0.0):
+    """Samples of random coefficients on ``domain``, plus relative noise."""
+    K = len(zetas)
+    coeffs = rng.standard_normal(K) + 1j * rng.standard_normal(K)
+    values = oracles.vandermonde_ref(domain.points, zetas) @ coeffs
+    e = rng.standard_normal(len(domain)) + 1j * rng.standard_normal(len(domain))
+    values += noise * np.linalg.norm(values) / np.linalg.norm(e) * e
+    return MdSequence(domain, values)
+
+
 class TestRecoverCoeffs:
-    # the coefficient stage of esprit_nd: least squares on the node-power matrix
+    # the coefficient stage of esprit_nd: normal equations on product sets,
+    # least squares on the node-power matrix everywhere else
     @given(st.integers(0, 10_000))
     def test_known_nodes_give_exact_coeffs(self, seed):
         model = exact_model(4, 2, seed)
@@ -156,6 +185,107 @@ class TestRecoverCoeffs:
         zetas = np.log(np.array([[1.0 + 0j], [1.0 + 1e-16j]]))
         _, cond = lstsq_minimum_norm(vandermonde(f.domain, zetas), f.values)
         assert "condition" in _coeff_warnings(cond)[0]
+
+    @given(gapped_product_sets(), st.integers(0, 10_000), st.floats(0.0, 0.6))
+    def test_matches_least_squares_oracle_on_product_sets(self, domain, seed, damping):
+        # The normal equations lose accuracy like eps * cond(V^*V); the
+        # guard keeps that below about 1e-8, and the SVD solve takes the rest.
+        # Both sides round every exponent <x, zeta> to eps times its size.
+        rng = np.random.default_rng(seed)
+        K = int(rng.integers(1, min(len(domain), 8) + 1))
+        zetas = random_model(K, domain.dim, rng, "random_complex", damping).zetas
+        f = model_samples(domain, zetas, rng, noise=0.1)
+        V = oracles.vandermonde_ref(domain.points, zetas)
+        expected, _, rank, s = np.linalg.lstsq(V, f.values, rcond=None)
+        if rank < K:
+            with pytest.raises(ModelOrderError):
+                _coefficients(f, zetas)
+            return
+        coeffs, cond = _coefficients(f, zetas)
+        exponent = np.abs(domain.as_array @ zetas.T).max()
+        bound = 100 * EPS * (s[0] / s[-1]) ** 2 * (1 + exponent)
+        assert np.linalg.norm(coeffs - expected) <= bound * np.linalg.norm(expected)
+        assert abs(cond - s[0] / s[-1]) <= bound * cond
+
+    def test_well_conditioned_box_skips_the_svd_solve(self, gelsd_calls):
+        rng = np.random.default_rng(5)
+        domain = make_box((6, 5, 4), offset=(-3, 0, 2))
+        zetas = random_model(6, 3, rng, "random_complex", 0.3).zetas
+        f = model_samples(domain, zetas, rng)
+        coeffs, cond = _coefficients(f, zetas)
+        expected, expected_cond = lstsq_minimum_norm(vandermonde(domain, zetas), f.values)
+        np.testing.assert_allclose(coeffs, expected, rtol=1e-12)
+        assert cond == pytest.approx(expected_cond, rel=1e-10)
+        assert gelsd_calls == []
+
+    def test_ill_conditioned_box_takes_the_svd_solve(self, gelsd_calls):
+        # the wild-dynamic-range instance: cond(V) > 1e12, far past the guard
+        model = ExponentialModel(1, [[-3.6 + 0.3j], [3.6 + 1.1j]], [1.0, 1.0])
+        xi = make_box((5,))
+        f = eval_model(model, minkowski_sum(xi, xi))
+        report = esprit_nd(f, xi, xi, EspritOptions(model_order=2))
+        assert gelsd_calls == [(9, 2)]
+        _, expected = lstsq_minimum_norm(vandermonde(f.domain, report.model.zetas), f.values)
+        assert report.coeff_condition == expected > 1e12
+        assert "condition" in report.warnings[0]
+
+    def test_guard_sends_moderate_conditioning_to_the_svd_solve(self, gelsd_calls):
+        # two nodes 1e-5 apart on 12 points: cond(V) is about 5.8e4, so
+        # cond(V^*V) about 3.4e9 lies past the guard, yet no warning is due
+        domain = make_box((12,))
+        zetas = np.array([[0.3j], [0.3j + 1e-5j]])
+        f = model_samples(domain, zetas, np.random.default_rng(2))
+        coeffs, cond = _coefficients(f, zetas)
+        assert len(gelsd_calls) == 1
+        assert 1e4 < cond < 1e12
+        expected, expected_cond = lstsq_minimum_norm(vandermonde(domain, zetas), f.values)
+        np.testing.assert_array_equal(coeffs, expected)
+        assert cond == expected_cond
+
+    @pytest.mark.parametrize("which", ["box_minus_point", "half_disc"])
+    def test_non_product_sets_take_the_svd_solve(self, gelsd_calls, which):
+        if which == "half_disc":
+            domain = make_shape({"kind": "half_disc", "radius": 5})
+        else:
+            domain = IndexSet(2, make_box((5, 6)).points[1:])
+        rng = np.random.default_rng(7)
+        zetas = random_model(5, 2, rng).zetas
+        f = model_samples(domain, zetas, rng)
+        coeffs, cond = _coefficients(f, zetas)
+        assert gelsd_calls == [(len(domain), 5)]
+        expected, expected_cond = lstsq_minimum_norm(vandermonde(domain, zetas), f.values)
+        np.testing.assert_array_equal(coeffs, expected)
+        assert cond == expected_cond
+
+    def test_one_overflowing_axis_table_falls_back(self, gelsd_calls):
+        # exp(800 zeta_1) overflows in the first axis table, but every
+        # point's full exponent has real part near 10: V itself is finite
+        domain = IndexSet(2, [(799, -791), (800, -791), (799, -790), (800, -790)])
+        zetas = np.array([[1 + 0.3j, 1 + 0.1j], [1 + 1.3j, 1 - 0.7j]])
+        f = MdSequence(domain, oracles.vandermonde_ref(domain.points, zetas) @ [1.0, 2.0j])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            coeffs, cond = _coefficients(f, zetas)
+        assert len(gelsd_calls) == 1
+        assert np.isfinite(cond)
+        np.testing.assert_allclose(coeffs, [1.0, 2.0j], rtol=1e-10)
+
+    @pytest.mark.parametrize("which", ["box", "half_disc"])
+    def test_duplicated_term_is_a_model_order_error(self, which):
+        # two equal columns: the minimum-norm solution splits the shared
+        # coefficient, so no entry is exactly zero, but the rank is K - 1
+        if which == "half_disc":
+            domain = make_shape({"kind": "half_disc", "radius": 4})
+        else:
+            domain = make_box((5, 4))
+        rng = np.random.default_rng(11)
+        zetas = random_model(3, 2, rng).zetas
+        zetas = np.vstack([zetas, zetas[1]])
+        f = model_samples(domain, zetas, rng)
+        coeffs, cond = lstsq_minimum_norm(vandermonde(domain, zetas), f.values)
+        assert np.all(coeffs != 0) and cond == np.inf
+        with pytest.raises(ModelOrderError, match="dropped a term"):
+            _coefficients(f, zetas)
 
 
 class TestShiftMatrix:
@@ -551,6 +681,7 @@ class TestEspritOptions:
             {"model_order": 0},
             {"auto_rel_tol": 0.0},
             {"auto_rel_tol": 1.0},
+            {"combo_seed": -1},
         ],
     )
     def test_invalid_options(self, kwargs):
