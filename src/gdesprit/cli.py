@@ -1,7 +1,7 @@
 """Command line interface.
 
 Subcommands: ``synth`` (sample a model onto a grid), ``estimate`` (recover a
-model from a sample file), ``experiment`` (run a spec or bundled scenario)
+model from a sample file), ``experiment`` (run a spec or bundled scenarios)
 and ``domain-info`` (inspect grids).  Exit codes: 0 success, 1 runtime
 failure, 2 invalid input or usage.
 
@@ -17,6 +17,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -108,17 +109,6 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         if args.upsilon is not None:
             raise DomainError("give either --upsilon or --erode, not both")
         upsilon = erode(f.domain, xi)
-        # every sum of a row and a column point is a sample, by the erosion
-        sums = (x[:, None] + y for x, y in zip(xi.as_array.T, upsilon.as_array.T))
-        used = np.zeros(len(f.domain), dtype=bool)
-        used[f.domain.locate(sums)] = True
-        unused = len(f.domain) - int(used.sum())
-        if unused > 0:
-            print(
-                f"warning: {unused} of {len(f.domain)} samples lie outside the grid sums "
-                "and are only used for coefficient recovery",
-                file=sys.stderr,
-            )
     elif args.upsilon is not None:
         upsilon = serialize.grid_from_spec(parse_grid_arg(args.upsilon))
     else:
@@ -136,11 +126,16 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     report = esprit_nd(f, xi, upsilon, options)
 
     K = report.model.order
-    s = report.singular_values
-    gap = float(s[K - 1] / s[K]) if K < len(s) and s[K] > 0 else float("inf")
     print(f"model order K = {K}")
+    gap = _rank_gap(report.singular_values, K)
     print(f"singular value gap sigma_{K}/sigma_{K + 1} = {gap:.6e}")
     print(f"max pairing residual = {float(np.max(report.pairing_residuals)):.6e}")
+    if report.unused_samples > 0:
+        print(
+            f"warning: {report.unused_samples} of {len(f.domain)} samples lie outside the "
+            "grid sums and are only used for coefficient recovery",
+            file=sys.stderr,
+        )
     for message in report.warnings:
         print(f"warning: {message}", file=sys.stderr)
     if args.out is not None:
@@ -149,22 +144,44 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _rank_gap(s: np.ndarray, K: int) -> float:
+    """sigma_K / sigma_{K+1} of a descending spectrum; inf past its end or over 0."""
+    return float(s[K - 1] / s[K]) if K < len(s) and s[K] > 0 else float("inf")
+
+
+def _print_summary(spec: harness.ExperimentSpec, results: list[harness.TrialResult]) -> None:
+    failures = [r for r in results if r.failed]
+    ok = [r for r in results if not r.failed]
+    print(f"{spec.name}: {len(results)} runs, {len(failures)} failed")
+    for reason in sorted({r.error for r in failures}):
+        print(f"  failure: {reason}")
+    ratios = sorted({r.noise_ratio for r in ok})
+    for ratio in ratios:
+        errs = [float(np.max(r.lambda_errors)) for r in ok if r.noise_ratio == ratio]
+        label = "noise-free" if ratio == 0 else f"ratio {ratio:.3e}"
+        print(f"  {label}: median max node error {np.median(errs):.3e}, worst {max(errs):.3e}")
+    if len(ratios) > 1:
+        K = spec.model.K
+        print(f"  rank jump sigma_{K}/sigma_{K + 1} of the median spectrum:")
+        for ratio, spectrum in harness.singular_value_table(results).items():
+            print(f"    ratio {ratio:.3e}: {_rank_gap(spectrum, K):.1f}")
+
+
 def cmd_experiment(args: argparse.Namespace) -> int:
     if (args.spec is None) == (args.scenario is None):
         raise DomainError("give exactly one of a spec file or --scenario")
     if args.scenario is not None:
-        spec = harness.bundled_spec(args.scenario)
+        specs = [harness.bundled_spec(name) for name in dict.fromkeys(args.scenario)]
     else:
-        spec = harness.spec_from_dict(serialize.load_json(args.spec))
-    spec = dataclasses.replace(spec, output=args.out or spec.output or ".")
-    results = harness.run_experiment(spec, jobs=args.jobs)
-    failures = sum(1 for r in results if r.failed)
-    ok = [r for r in results if not r.failed]
-    print(f"{spec.name}: {len(results)} runs, {failures} failed")
-    if ok:
-        worst = max(float(np.max(r.lambda_errors)) for r in ok)
-        print(f"max matched node error over successful runs = {worst:.6e}")
-    print(f"results written to {Path(spec.output) / (spec.name + '.csv')}")
+        specs = [harness.spec_from_dict(serialize.load_json(args.spec))]
+    for spec in specs:
+        spec = dataclasses.replace(spec, output=args.out or spec.output or ".")
+        start = time.perf_counter()
+        results = harness.run_experiment(spec, jobs=args.jobs)
+        elapsed = time.perf_counter() - start
+        _print_summary(spec, results)
+        print(f"  wall time = {elapsed:.1f} s")
+        print(f"results written to {Path(spec.output) / (spec.name + '.csv')}")
     return 0
 
 
@@ -243,8 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("spec", nargs="?", help="experiment spec JSON file")
     p_exp.add_argument(
         "--scenario",
+        action="append",
         choices=harness.bundled_scenarios(),
-        help="run a bundled scenario instead of a spec file",
+        help="run a bundled scenario instead of a spec file (repeatable)",
     )
     p_exp.add_argument("--out", help="output directory (default: current directory)")
     p_exp.add_argument("--jobs", type=int, default=1, help="parallel worker processes")

@@ -42,7 +42,6 @@ from .errors import (
     CapacityError,
     DomainError,
     ModelOrderError,
-    NonFiniteError,
     PairingError,
     RankDeficiencyError,
 )
@@ -114,6 +113,7 @@ class EstimationReport:
     pairing_residuals: np.ndarray
     combo_used: np.ndarray
     coeff_condition: float
+    unused_samples: int
     warnings: tuple[str, ...] = field(default=())
 
 
@@ -290,21 +290,17 @@ def esprit_nd(
     x + y of a row point and a column point.  The model order comes from
     ``options`` (fixed, or selected from the singular value sequence) and is
     checked against the grid capacity before any subspace work, and against
-    the numerical rank of the sample matrix before the shift solves.
+    the numerical rank of the sample matrix before the shift solves.  The
+    report counts the samples at no such sum, which only the coefficient
+    fit uses.
     """
     opts = options or EspritOptions()
     d = f.domain.dim
-    if xi.dim != d or upsilon.dim != d:
-        raise DomainError(
-            f"dimension mismatch: samples {d}, rows {xi.dim}, columns {upsilon.dim}"
-        )
-    if not np.all(np.isfinite(f.values)):
-        raise NonFiniteError("samples must be finite")
+    H = build_hankel(f, xi, upsilon)
     masks = [deletion_masks(xi, p) for p in range(1, d + 1)]
     cap = min(len(m.keep_minus) for m in masks)
     if opts.model_order is not None:
         _check_capacity(opts.model_order, cap, len(upsilon))
-    H = build_hankel(f, xi, upsilon)
     svd = lb.truncated_svd(H.matrix)
     s = svd.spectrum
     K = opts.model_order
@@ -329,6 +325,7 @@ def esprit_nd(
         pairing_residuals=jd.off_diag_norms,
         combo_used=jd.alphas,
         coeff_condition=cond,
+        unused_samples=H.unused_samples,
         warnings=_coeff_warnings(cond),
     )
 

@@ -38,11 +38,10 @@ def auto_order(singular_values: np.ndarray, rel_tol: float) -> int:
 
 @dataclass(frozen=True)
 class GdHankel:
-    """Dense sum-indexed matrix together with its row and column grids."""
+    """Dense sum-indexed matrix and the number of samples no entry reads."""
 
     matrix: np.ndarray
-    xi: IndexSet
-    upsilon: IndexSet
+    unused_samples: int
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -53,7 +52,8 @@ def build_hankel(f: MdSequence, xi: IndexSet, upsilon: IndexSet) -> GdHankel:
     """Assemble the |Xi| x |Upsilon| matrix H[n, m] = f(x_n + y_m).
 
     Every needed sum x + y must be covered by ``f.domain``; the first missing
-    index (scanning rows, then columns) is reported otherwise.
+    index (scanning rows, then columns) is reported otherwise.  Samples at no
+    sum are counted in ``unused_samples``.
     """
     d = f.domain.dim
     if xi.dim != d or upsilon.dim != d:
@@ -68,7 +68,10 @@ def build_hankel(f: MdSequence, xi: IndexSet, upsilon: IndexSet) -> GdHankel:
         missing = tuple((xs[n] + ys[m]).tolist())
         problem = "is required by the structured matrix but was not provided"
         raise CoverageError(f"sample at index {missing} {problem}", missing=missing)
-    return GdHankel(matrix=_readonly(f.values[idx]), xi=xi, upsilon=upsilon)
+    used = np.zeros(len(f.domain), dtype=bool)
+    used[idx] = True
+    unused = len(f.domain) - int(np.count_nonzero(used))
+    return GdHankel(matrix=_readonly(f.values[idx]), unused_samples=unused)
 
 
 def capacity(xi: IndexSet) -> int:

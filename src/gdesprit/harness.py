@@ -12,7 +12,6 @@ the run; any other exception is a programming error and propagates.
 from __future__ import annotations
 
 import csv
-import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from itertools import repeat
@@ -24,7 +23,7 @@ from scipy.optimize import linear_sum_assignment
 from .domains import IndexSet, _number, erode, minkowski_sum
 from .errors import INPUT_ERRORS, RUNTIME_ERRORS, DomainError
 from .esprit import EspritOptions, esprit_nd
-from .serialize import grid_from_spec
+from .serialize import dump_json, grid_from_spec
 from .signal import add_noise, eval_model, random_model
 
 NOISE_LADDER = (10.0 ** 0, 10.0 ** -0.5, 10.0 ** -1, 10.0 ** -2, 10.0 ** -3, 10.0 ** -4)
@@ -232,10 +231,9 @@ def write_results(spec: ExperimentSpec, results: list[TrialResult]) -> tuple[Pat
         writer.writerow(CSV_COLUMNS)
         for r in results:
             for k in range(spec.model.K):
-                lam = r.lambda_errors[k] if k < len(r.lambda_errors) else float("nan")
-                zet = r.zeta_errors[k] if k < len(r.zeta_errors) else float("nan")
+                lam, zet = float(r.lambda_errors[k]), float(r.zeta_errors[k])
                 writer.writerow(
-                    (r.trial, repr(r.noise_ratio), k, repr(float(lam)), repr(float(zet)), repr(r.coeff_rel_error))
+                    (r.trial, repr(r.noise_ratio), k, repr(lam), repr(zet), repr(r.coeff_rel_error))
                 )
 
     summary = {
@@ -258,9 +256,7 @@ def write_results(spec: ExperimentSpec, results: list[TrialResult]) -> tuple[Pat
             for r in results
         ],
     }
-    with json_path.open("w") as fh:
-        json.dump(summary, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    dump_json(summary, json_path)
     return csv_path, json_path
 
 
@@ -281,11 +277,8 @@ def singular_value_table(results: list[TrialResult]) -> dict[float, np.ndarray]:
     }
 
 
-def _box_spec(widths, offset=None) -> dict:
-    spec = {"dim": len(widths), "kind": "box", "widths": list(widths)}
-    if offset is not None:
-        spec["offset"] = list(offset)
-    return spec
+def _box_spec(widths) -> dict:
+    return {"dim": len(widths), "kind": "box", "widths": list(widths)}
 
 
 _SCENARIOS: dict[str, dict] = {

@@ -93,6 +93,7 @@ def report_to_dict(report: EstimationReport) -> dict:
         "coeff_condition": float(report.coeff_condition)
         if np.isfinite(report.coeff_condition)
         else None,
+        "unused_samples": int(report.unused_samples),
         "warnings": list(report.warnings),
     }
 

@@ -15,6 +15,9 @@ from .linalg_backend import _readonly
 # colliding during random generation.
 NODE_COLLISION_TOL = 1e-6
 
+# Redraws of colliding node vectors before random generation gives up.
+COLLISION_RETRIES = 100
+
 _LAYOUTS = ("uniform_imag", "spiral", "random_complex")
 
 
@@ -84,6 +87,9 @@ class MdSequence:
             raise DomainError(
                 f"{v.shape[0]} values for a domain of {len(self.domain)} points"
             )
+        bad = v.size - int(np.count_nonzero(np.isfinite(v)))
+        if bad:
+            raise NonFiniteError(f"{bad} of {v.size} sample values are not finite")
         object.__setattr__(self, "values", _readonly(v))
 
     def norm(self) -> float:
@@ -151,15 +157,15 @@ def vandermonde(domain: IndexSet, zetas: np.ndarray) -> np.ndarray:
 
 
 def eval_model(model: ExponentialModel, omega: IndexSet) -> MdSequence:
-    """Evaluate the model on every point of ``omega``."""
+    """Evaluate the model on every point of ``omega``.
+
+    Values that overflow raise :class:`NonFiniteError` from
+    :class:`MdSequence`.
+    """
     if omega.dim != model.dim:
         raise DomainError(f"dimension mismatch: domain {omega.dim}, model {model.dim}")
     with np.errstate(over="ignore", invalid="ignore"):
         values = vandermonde(omega, model.zetas) @ model.coeffs
-    if not np.all(np.isfinite(values)):
-        raise NonFiniteError(
-            "model evaluation overflowed; damping is too strong for this domain"
-        )
     return MdSequence(omega, values)
 
 
@@ -194,7 +200,6 @@ def random_model(
     rng: np.random.Generator,
     layout: str = "uniform_imag",
     damping_bound: float = 0.0,
-    max_retries: int = 100,
 ) -> ExponentialModel:
     """Draw a random model with pairwise well-separated node vectors.
 
@@ -208,8 +213,8 @@ def random_model(
       imaginary part uniform on (-pi, pi).
 
     Coefficients have modulus uniform in [0.5, 1.5] and uniform phase.
-    Colliding node vectors (closer than ``NODE_COLLISION_TOL``) are redrawn;
-    bounded retries, then :class:`GenerationError`.
+    Colliding node vectors (closer than ``NODE_COLLISION_TOL``) are redrawn
+    up to ``COLLISION_RETRIES`` times, then :class:`GenerationError`.
     """
     if K < 1:
         raise DomainError(f"model order must be at least 1, got {K}")
@@ -234,14 +239,14 @@ def random_model(
             return rng.uniform(-damping_bound, damping_bound, size=(count, d)) + imag
 
         zetas = draw(K)
-        for _ in range(max_retries):
+        for _ in range(COLLISION_RETRIES):
             bad = _colliding(np.exp(zetas))
             if bad.size == 0:
                 break
             zetas[bad] = draw(bad.size)
         else:
             raise GenerationError(
-                f"could not draw {K} separated node vectors in {max_retries} retries"
+                f"could not draw {K} separated node vectors in {COLLISION_RETRIES} retries"
             )
     coeffs = rng.uniform(0.5, 1.5, size=K) * np.exp(2j * np.pi * rng.uniform(size=K))
     return ExponentialModel(dim=d, zetas=zetas, coeffs=coeffs)

@@ -211,6 +211,32 @@ class TestEstimate:
         assert unused > 0
         assert f"warning: {unused} of {len(omega)} samples lie outside" in capsys.readouterr().err
 
+    def test_upsilon_warns_about_leftovers(self, tmp_path, capsys):
+        samples_path, _ = synth(tmp_path)  # 9x9 samples, 5x5 of them at the grid sums
+        capsys.readouterr()
+        code = run_cli(
+            "estimate", str(samples_path), "--xi", "box:3,3", "--upsilon", "box:3,3",
+            "--order", "2", "--out", str(tmp_path / "report.json"),
+        )
+        assert code == 0
+        assert "warning: 56 of 81 samples lie outside the grid sums" in capsys.readouterr().err
+        assert serialize.load_json(tmp_path / "report.json")["unused_samples"] == 56
+
+    def test_non_finite_sample_file_is_an_input_error(self, tmp_path, capsys):
+        samples_path, _ = synth(tmp_path)
+        data = serialize.load_json(samples_path)
+        data["values"][4] = [float("nan"), 0.0]
+        serialize.dump_json(data, samples_path)
+        capsys.readouterr()
+        code = run_cli(
+            "estimate", str(samples_path), "--xi", "box:5,5", "--upsilon", "box:5,5",
+            "--order", "6",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "1 of 81 sample values are not finite" in err
+
     @pytest.mark.parametrize("far", [10**6, 2**40])
     def test_far_sample_point(self, tmp_path, capsys, far):
         # a 5x5 box plus one distant sample: no lookup may allocate by the
@@ -320,6 +346,45 @@ class TestExperiment:
         assert "cli_exp: 6 runs, 0 failed" in out
         assert (out_dir / "cli_exp.csv").exists()
         assert (out_dir / "cli_exp.json").exists()
+
+    def test_summary_per_noise_ratio(self, tmp_path, capsys):
+        run_cli("experiment", str(self._spec_file(tmp_path)), "--out", str(tmp_path))
+        out = capsys.readouterr().out
+        assert "  noise-free: median max node error " in out
+        assert "  ratio 1.000e-03: median max node error " in out
+        assert "  rank jump sigma_3/sigma_4 of the median spectrum:" in out
+        assert "    ratio 0.000e+00: " in out
+        assert "    ratio 1.000e-03: " in out
+        assert "  wall time = " in out
+
+    def test_single_ratio_prints_no_rank_jump(self, tmp_path, capsys):
+        spec_path = self._spec_file(tmp_path, lambda d: d.update(noise_ratios=[0.0]))
+        run_cli("experiment", str(spec_path), "--out", str(tmp_path))
+        out = capsys.readouterr().out
+        assert "  noise-free: median max node error " in out
+        assert "rank jump" not in out
+
+    def test_failure_reasons_listed(self, tmp_path, capsys):
+        # K=8 exceeds the capacity 6 of a 3x3 row grid, so every cell fails alike
+        spec_path = self._spec_file(tmp_path, lambda d: d["model"].update(K=8))
+        assert run_cli("experiment", str(spec_path), "--out", str(tmp_path)) == 0
+        out = capsys.readouterr().out
+        assert "cli_exp: 6 runs, 6 failed" in out
+        assert out.count("  failure: CapacityError: model order 8 exceeds the capacity 6") == 1
+        assert "median max node error" not in out
+
+    def test_repeated_scenarios(self, tmp_path, capsys):
+        code = run_cli(
+            "experiment", "--scenario", "fig1_small", "--scenario", "fig2_small",
+            "--out", str(tmp_path),
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "fig1_small: 20 runs, 0 failed" in out
+        assert "fig2_small: 10 runs, 0 failed" in out
+        for name in ("fig1_small", "fig2_small"):
+            assert (tmp_path / f"{name}.csv").exists()
+            assert (tmp_path / f"{name}.json").exists()
 
     def test_rerun_is_byte_identical(self, tmp_path):
         spec_path = self._spec_file(tmp_path)

@@ -15,6 +15,7 @@ from gdesprit import linalg_backend
 from gdesprit.domains import IndexSet, deletion_masks, make_box, make_shape, minkowski_sum, erode
 from gdesprit.errors import (
     CapacityError,
+    CoverageError,
     DegenerateFiberError,
     DomainError,
     ModelOrderError,
@@ -465,6 +466,27 @@ class TestEspritNd:
         report = esprit_nd(f, xi, upsilon, EspritOptions(model_order=K))
         assert match_frequencies(model.nodes, report.model.nodes).lambda_errors.max() < 1e-9
 
+    def test_coverage_is_checked_before_capacity(self):
+        xi = make_box((3, 3))  # capacity 6
+        f = MdSequence(make_box((4, 4)), np.ones(16))  # the sums need 5x5
+        with pytest.raises(CoverageError):
+            esprit_nd(f, xi, xi, EspritOptions(model_order=7))
+
+    def test_unused_samples_on_half_disc(self):
+        omega = make_shape({"kind": "half_disc", "radius": 8})
+        xi = make_box((3, 3))
+        upsilon = erode(omega, xi)
+        f = eval_model(exact_model(4, 2, 43), omega)
+        report = esprit_nd(f, xi, upsilon, EspritOptions(model_order=4))
+        sums = {tuple(a + b for a, b in zip(x, y)) for x in xi.points for y in upsilon.points}
+        assert report.unused_samples == len(omega) - len(sums) > 0
+
+    def test_no_unused_samples_on_the_sumset(self):
+        xi = trimmed_half_disc(4)
+        upsilon = make_box((3, 3))
+        f = eval_model(exact_model(8, 2, 41), minkowski_sum(xi, upsilon))
+        assert esprit_nd(f, xi, upsilon, EspritOptions(model_order=8)).unused_samples == 0
+
     def test_branch_boundary_frequency(self):
         # node on the negative real axis: imaginary part must come out +pi
         model = ExponentialModel(1, [[0.05 + 1j * np.pi]], [1.5])
@@ -523,8 +545,8 @@ class TestEspritNd:
         xi = make_box((2, 2))
         vals = np.ones(9)
         vals[4] = np.inf
-        f = MdSequence(make_box((3, 3)), vals)
         with pytest.raises(NonFiniteError):
+            f = MdSequence(make_box((3, 3)), vals)
             esprit_nd(f, xi, xi, EspritOptions(model_order=1))
 
     def test_dimension_mismatch(self):

@@ -47,6 +47,17 @@ class TestBuildHankel:
         got = build_hankel(f, xi, upsilon).matrix
         np.testing.assert_array_equal(got, expected)
 
+    @given(
+        index_sets(dim=2, max_size=6, lo=-3, hi=3),
+        index_sets(dim=2, max_size=6, lo=-3, hi=3),
+        index_sets(dim=2, max_size=8, lo=-8, hi=8),
+    )
+    def test_unused_samples_match_brute_force(self, xi, upsilon, extra):
+        sums = {tuple(a + b for a, b in zip(x, y)) for x in xi.points for y in upsilon.points}
+        omega = IndexSet(2, tuple(sums | set(extra.points)))
+        H = build_hankel(sampled_on(omega), xi, upsilon)
+        assert H.unused_samples == len(set(extra.points) - sums)
+
     @given(index_sets(dim=2, max_size=5), index_sets(dim=2, max_size=5))
     def test_transpose_symmetry(self, xi, upsilon):
         omega = minkowski_sum(xi, upsilon)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -154,18 +155,12 @@ class TestReportSerialization:
         assert len(data["combo_used"]) == 2
         assert data["coeff_condition"] == pytest.approx(report.coeff_condition)
         assert data["warnings"] == []
+        assert data["unused_samples"] == 0
         json.dumps(data)  # everything JSON-native
 
     def test_infinite_condition_becomes_null(self):
         report = self._report()
-        patched = type(report)(
-            model=report.model,
-            singular_values=report.singular_values,
-            pairing_residuals=report.pairing_residuals,
-            combo_used=report.combo_used,
-            coeff_condition=float("inf"),
-            warnings=report.warnings,
-        )
+        patched = dataclasses.replace(report, coeff_condition=float("inf"))
         assert report_to_dict(patched)["coeff_condition"] is None
 
 

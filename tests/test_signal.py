@@ -74,6 +74,15 @@ class TestMdSequence:
         with pytest.raises(DomainError):
             MdSequence(make_box((2, 2)), np.ones(3))
 
+    @pytest.mark.parametrize(
+        "bad", [np.nan, np.inf, -np.inf, complex(1, np.nan), complex(0, -np.inf)]
+    )
+    def test_non_finite_values_rejected(self, bad):
+        values = np.ones(4, dtype=complex)
+        values[[1, 3]] = bad
+        with pytest.raises(NonFiniteError, match="2 of 4 sample values are not finite"):
+            MdSequence(make_box((2, 2)), values)
+
     def test_norm(self):
         f = MdSequence(make_box((4,)), [3, 4, 0, 0])
         assert f.norm() == pytest.approx(5.0)
@@ -256,4 +265,4 @@ class TestRandomModel:
                 return np.full(size, (low + high) / 2) if size is not None else (low + high) / 2
 
         with pytest.raises(GenerationError):
-            random_model(2, 2, ConstantRng(), max_retries=5)
+            random_model(2, 2, ConstantRng())
