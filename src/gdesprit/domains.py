@@ -153,11 +153,6 @@ class IndexSet:
             return False
         return bool(self.locate(query.T)[0] >= 0)
 
-    def translate(self, shift: Sequence[int]) -> "IndexSet":
-        shift = _coords((shift,), self.dim)[0]
-        _check_sums(self.bounding_box, (shift, shift))
-        return IndexSet(self.dim, self.as_array + shift)
-
 
 @dataclass(frozen=True)
 class DeletionMasks:

@@ -69,10 +69,9 @@ class GenerationError(RuntimeError):
 class PairingError(RuntimeError):
     """Joint diagonalization failed to pair frequency components."""
 
-    def __init__(self, message: str, residuals=None, attempts: int | None = None):
+    def __init__(self, message: str, residuals=None):
         super().__init__(message)
         self.residuals = residuals
-        self.attempts = attempts
 
 
 # Bad input: the CLI exits 2 on these.

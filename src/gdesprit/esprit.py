@@ -57,12 +57,13 @@ COEFF_COND_LIMIT = 1e12
 # coefficients on a product-set domain come from the normal equations.
 GRAM_COND_LIMIT = 1e8
 
-# Eigenvalues of the combined shift matrix closer than this fraction of the
-# spectral radius trigger a redraw of the combination.
-MULTIPLICITY_GAP_REL = 1e-8
+# Eigenvector-matrix condition of the combined shift matrix beyond which the
+# pairing is flagged as unreliable (numerically defective input).
+EIGVEC_COND_LIMIT = 1e12
 
-# Redraws of the pairing combination after the first attempt.
-COMBO_RETRIES = 8
+# Eigenvalues of the combined shift matrix closer than this fraction of the
+# spectral radius make the terms inseparable.
+MULTIPLICITY_GAP_REL = 1e-8
 
 # Off-diagonal residual, relative to the matrix norm, up to which a pairing is
 # accepted.  Loose by design: noisy data legitimately produces large
@@ -76,10 +77,10 @@ class EspritOptions:
 
     ``model_order`` fixes the number of recovered terms; ``None`` selects it
     from the singular value sequence with relative cutoff ``auto_rel_tol``.
-    ``combo_seed`` seeds the random unit-modulus combination used to pair
-    dimensions; up to ``COMBO_RETRIES`` redraws are attempted when the
-    combination has (numerically) repeated eigenvalues or the off-diagonal
-    residual exceeds ``DIAG_RESIDUAL_TOL`` relative to the matrix norm.
+    ``combo_seed`` seeds the one random unit-modulus combination used to
+    pair dimensions; pairing fails when that combination has (numerically)
+    repeated eigenvalues or an off-diagonal residual exceeds
+    ``DIAG_RESIDUAL_TOL`` relative to the matrix norm.
     """
 
     model_order: int | None = None
@@ -101,7 +102,8 @@ class JointDiagonalization:
 
     nodes: np.ndarray  # (K, d): row k holds the node coordinates of term k
     off_diag_norms: np.ndarray  # Frobenius norm of the off-diagonal part, per dimension
-    alphas: np.ndarray  # unit-modulus combination weights that were accepted
+    alphas: np.ndarray  # unit-modulus combination weights
+    eigvec_cond: float  # 1-norm condition of the common eigenvector matrix
 
 
 @dataclass(frozen=True)
@@ -123,13 +125,21 @@ def _principal_log(nodes: np.ndarray) -> np.ndarray:
     return np.where(z.imag == -np.pi, z.conj(), z)
 
 
-def _coeff_warnings(cond: float) -> tuple[str, ...]:
-    if cond > COEFF_COND_LIMIT:
-        return (
-            f"coefficient system condition {cond:.3e} exceeds {COEFF_COND_LIMIT:.0e}; "
-            "coefficients may be unreliable",
+def _estimate_warnings(eigvec_cond: float, coeff_cond: float) -> tuple[str, ...]:
+    """The report's warnings: an ill-conditioned pairing basis, then an
+    ill-conditioned coefficient system."""
+    out = []
+    if not np.isfinite(eigvec_cond) or eigvec_cond > EIGVEC_COND_LIMIT:
+        out.append(
+            f"eigenvector matrix condition {eigvec_cond:.3e} exceeds {EIGVEC_COND_LIMIT:.0e}; "
+            "input is numerically defective"
         )
-    return ()
+    if coeff_cond > COEFF_COND_LIMIT:
+        out.append(
+            f"coefficient system condition {coeff_cond:.3e} exceeds {COEFF_COND_LIMIT:.0e}; "
+            "coefficients may be unreliable"
+        )
+    return tuple(out)
 
 
 def _coefficients(f: MdSequence, zetas: np.ndarray) -> tuple[np.ndarray, float]:
@@ -215,12 +225,13 @@ def _shift_from_masks(U: np.ndarray, masks: DeletionMasks) -> np.ndarray:
 def joint_eig(shift_matrices: list[np.ndarray], options: EspritOptions | None = None) -> JointDiagonalization:
     """Pair the per-dimension shift matrices through one eigenbasis.
 
-    A seeded random unit-modulus combination M = sum_p alpha_p A_p is
+    One seeded random unit-modulus combination M = sum_p alpha_p A_p is
     diagonalized; its eigenbasis is applied to every A_p and the diagonals
     are read off, so row k collects the coordinates of one term across all
-    dimensions.  The combination is redrawn when M has numerically repeated
-    eigenvalues or when some off-diagonal residual exceeds the tolerance;
-    persistent failure raises :class:`PairingError` with the residuals.
+    dimensions.  :class:`PairingError` is raised when M has numerically
+    repeated eigenvalues, or, carrying the residuals, when some off-diagonal
+    residual exceeds the tolerance.  Another draw would fail alike, except
+    with negligible probability, so none is made.
     """
     opts = options or EspritOptions()
     mats = [np.asarray(A, dtype=np.complex128) for A in shift_matrices]
@@ -230,51 +241,33 @@ def joint_eig(shift_matrices: list[np.ndarray], options: EspritOptions | None = 
     for A in mats:
         if A.ndim != 2 or A.shape != (K, K):
             raise DomainError(f"shift matrices must all be {K}x{K}, got {A.shape}")
-    d = len(mats)
-    norms = [np.linalg.norm(A) for A in mats]
-    rng = np.random.default_rng(opts.combo_seed)
-    attempts = COMBO_RETRIES + 1
-    last_residuals = None
-    multiplicity_only = True
-    for _ in range(attempts):
-        alphas = np.exp(2j * np.pi * rng.random(d))
-        M = sum(a * A for a, A in zip(alphas, mats))
-        eig = lb.eig_full(M)
-        mu = eig.eigenvalues
-        if K > 1:
-            gaps = np.abs(mu[:, None] - mu[None, :])
-            np.fill_diagonal(gaps, np.inf)
-            if gaps.min() < MULTIPLICITY_GAP_REL * np.abs(mu).max():
-                continue
-        B, V = eig.eigvecs_inv, eig.eigvecs
-        diagonals = []
-        residuals = np.empty(d)
-        for p, A in enumerate(mats):
-            D = B @ (A @ V)  # B A B^{-1}, with the eigenvectors V as B^{-1}
-            diagonals.append(np.diag(D))
-            residuals[p] = np.linalg.norm(D - np.diag(diagonals[-1]))
-        multiplicity_only = False
-        last_residuals = residuals
-        if all(residuals[p] <= DIAG_RESIDUAL_TOL * norms[p] for p in range(d)):
-            nodes = np.stack(diagonals, axis=1)
-            return JointDiagonalization(
-                nodes=_readonly(nodes),
-                off_diag_norms=_readonly(residuals),
-                alphas=_readonly(alphas),
+    alphas = np.exp(2j * np.pi * np.random.default_rng(opts.combo_seed).random(len(mats)))
+    eig = lb.eig_full(sum(a * A for a, A in zip(alphas, mats)))
+    mu = eig.eigenvalues
+    if K > 1:
+        gaps = np.abs(mu[:, None] - mu[None, :])
+        np.fill_diagonal(gaps, np.inf)
+        if gaps.min() < MULTIPLICITY_GAP_REL * np.abs(mu).max():
+            raise PairingError(
+                "the combined shift matrix has numerically repeated eigenvalues; "
+                "the terms cannot be separated"
             )
-    if multiplicity_only:
+    B, V = eig.eigvecs_inv, eig.eigvecs
+    D = [B @ (A @ V) for A in mats]  # B A B^{-1}, with the eigenvectors V as B^{-1}
+    diagonals = [np.diag(Dp) for Dp in D]
+    residuals = np.array([np.linalg.norm(Dp - np.diag(g)) for Dp, g in zip(D, diagonals)])
+    if not np.all(residuals <= DIAG_RESIDUAL_TOL * np.array([np.linalg.norm(A) for A in mats])):
         raise PairingError(
-            f"every combination drawn in {attempts} attempts had numerically repeated "
-            "eigenvalues; the terms cannot be separated",
-            attempts=attempts,
+            "off-diagonal residuals "
+            + np.array2string(residuals, precision=3)
+            + " exceed the tolerance; the shift matrices do not share an eigenbasis",
+            residuals=residuals,
         )
-    raise PairingError(
-        "off-diagonal residuals "
-        + np.array2string(last_residuals, precision=3)
-        + f" still exceed the tolerance after {attempts} attempts; "
-        "the shift matrices do not share an eigenbasis",
-        residuals=last_residuals,
-        attempts=attempts,
+    return JointDiagonalization(
+        nodes=_readonly(np.stack(diagonals, axis=1)),
+        off_diag_norms=_readonly(residuals),
+        alphas=_readonly(alphas),
+        eigvec_cond=eig.eigvec_cond,
     )
 
 
@@ -326,7 +319,7 @@ def esprit_nd(
         combo_used=jd.alphas,
         coeff_condition=cond,
         unused_samples=H.unused_samples,
-        warnings=_coeff_warnings(cond),
+        warnings=_estimate_warnings(jd.eigvec_cond, cond),
     )
 
 

@@ -71,9 +71,10 @@ class ExperimentSpec:
             raise DomainError("give exactly one of upsilon (column grid) or omega (sampling domain)")
         if self.trials < 1:
             raise DomainError(f"trials must be at least 1, got {self.trials}")
-        if any(r < 0 for r in self.noise_ratios):
-            raise DomainError(f"noise ratios must be nonnegative, got {self.noise_ratios}")
-        object.__setattr__(self, "noise_ratios", tuple(float(r) for r in self.noise_ratios))
+        ratios = tuple(_number(r, "a noise ratio") for r in self.noise_ratios)
+        if any(r < 0 for r in ratios):
+            raise DomainError(f"noise ratios must be nonnegative, got {ratios}")
+        object.__setattr__(self, "noise_ratios", ratios)
 
 
 @dataclass(frozen=True)

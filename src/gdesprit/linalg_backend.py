@@ -9,16 +9,11 @@ A = B^{-1} diag(lambda) B.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, RankDeficiencyError
-
-# Eigenvector-matrix condition beyond which an eigendecomposition is
-# considered numerically unreliable (near-defective input).
-EIGVEC_COND_LIMIT = 1e12
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -72,29 +67,22 @@ def truncated_svd(matrix: np.ndarray) -> SvdResult:
 def eig_full(matrix: np.ndarray) -> EigResult:
     """Dense eigendecomposition of a square matrix.
 
-    Warns when the eigenvector matrix V is so ill-conditioned that the input
-    is numerically defective.  The condition number is taken in the 1-norm,
-    ||V||_1 ||V^{-1}||_1, from the inverse the result needs anyway; it lies
-    within a factor K of the 2-norm one and needs no SVD of V.
+    Also returns the condition number of the eigenvector matrix V, which is
+    large or non-finite on numerically defective input; callers judge it.
+    It is taken in the 1-norm, ||V||_1 ||V^{-1}||_1, from the inverse the
+    result needs anyway; it lies within a factor K of the 2-norm one and
+    needs no SVD of V.
     """
     A = np.asarray(matrix, dtype=np.complex128)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
         raise DomainError(f"expected a nonempty square matrix, got shape {A.shape}")
     eigenvalues, vecs = np.linalg.eig(A)
     B = np.linalg.inv(vecs)
-    cond = float(np.linalg.norm(vecs, 1) * np.linalg.norm(B, 1))
-    if not np.isfinite(cond) or cond > EIGVEC_COND_LIMIT:
-        warnings.warn(
-            f"eigenvector matrix condition {cond:.3e} exceeds {EIGVEC_COND_LIMIT:.0e}; "
-            "input is numerically defective",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     return EigResult(
         eigenvalues=_readonly(eigenvalues),
         eigvecs=_readonly(vecs),
         eigvecs_inv=_readonly(B),
-        eigvec_cond=cond,
+        eigvec_cond=float(np.linalg.norm(vecs, 1) * np.linalg.norm(B, 1)),
     )
 
 

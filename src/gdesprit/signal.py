@@ -7,7 +7,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .domains import IndexSet
+from .domains import IndexSet, _number
 from .errors import DomainError, GenerationError, NonFiniteError
 from .linalg_backend import _readonly
 
@@ -95,16 +95,6 @@ class MdSequence:
     def norm(self) -> float:
         return float(np.linalg.norm(self.values))
 
-    def restrict(self, sub: IndexSet) -> "MdSequence":
-        """Samples restricted to ``sub``, which must lie inside the domain."""
-        if sub.dim != self.domain.dim:
-            raise DomainError(f"dimension mismatch: {sub.dim} vs {self.domain.dim}")
-        idx = self.domain.locate(sub.as_array.T)
-        if (idx < 0).any():
-            missing = sub.points[int(np.argmax(idx < 0))]
-            raise DomainError(f"point {missing} is not in the sampled domain")
-        return MdSequence(sub, self.values[idx])
-
 
 def _axis_powers(values: np.ndarray, z: np.ndarray) -> np.ndarray:
     """exp(v z_k) for every axis value v and frequency z_k, shape (len(values), K),
@@ -175,7 +165,7 @@ def add_noise(f: MdSequence, ratio: float, rng: np.random.Generator) -> MdSequen
     The returned sequence is f + e with ||e||_2 / ||f||_2 equal to ``ratio``
     up to a few ulp.  ``ratio=0`` returns an identical copy.
     """
-    if ratio < 0:
+    if _number(ratio, "the noise ratio") < 0:
         raise DomainError(f"noise ratio must be nonnegative, got {ratio}")
     if ratio == 0:
         return MdSequence(f.domain, f.values)

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from gdesprit import serialize
+from gdesprit import linalg_backend, serialize
 from gdesprit.cli import main, parse_grid_arg
 from gdesprit.domains import erode, make_box, make_shape, minkowski_sum
 from gdesprit.errors import DomainError
@@ -222,6 +223,23 @@ class TestEstimate:
         assert "warning: 56 of 81 samples lie outside the grid sums" in capsys.readouterr().err
         assert serialize.load_json(tmp_path / "report.json")["unused_samples"] == 56
 
+    def test_defective_pairing_basis_warns(self, tmp_path, capsys, monkeypatch):
+        eig = linalg_backend.eig_full
+        monkeypatch.setattr(
+            linalg_backend, "eig_full", lambda A: dataclasses.replace(eig(A), eigvec_cond=1e13)
+        )
+        samples_path, _ = synth(tmp_path)
+        report_path = tmp_path / "report.json"
+        capsys.readouterr()
+        code = run_cli(
+            "estimate", str(samples_path), "--xi", "box:5,5", "--upsilon", "box:5,5",
+            "--order", "6", "--out", str(report_path),
+        )
+        assert code == 0
+        message = "eigenvector matrix condition 1.000e+13 exceeds 1e+12; input is numerically defective"
+        assert f"warning: {message}" in capsys.readouterr().err
+        assert serialize.load_json(report_path)["warnings"] == [message]
+
     def test_non_finite_sample_file_is_an_input_error(self, tmp_path, capsys):
         samples_path, _ = synth(tmp_path)
         data = serialize.load_json(samples_path)
@@ -423,6 +441,14 @@ class TestExperiment:
         code = run_cli("experiment", str(self._spec_file(tmp_path, mutate)), "--out", str(tmp_path))
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_non_finite_noise_ratio_is_an_input_error(self, tmp_path, capsys):
+        spec_path = self._spec_file(tmp_path, lambda d: d.update(noise_ratios=[float("nan"), 1e-3]))
+        out_dir = tmp_path / "results"
+        code = run_cli("experiment", str(spec_path), "--out", str(out_dir))
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: a noise ratio must be a finite number")
+        assert not (out_dir / "cli_exp.csv").exists()
 
     def test_unknown_scenario_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit) as exc:

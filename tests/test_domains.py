@@ -94,14 +94,6 @@ class TestIndexSet:
         assert lo.tolist() == [-1, -2]
         assert hi.tolist() == [3, 4]
 
-    @given(index_sets(), st.tuples(st.integers(-4, 4), st.integers(-4, 4), st.integers(-4, 4)))
-    def test_translate_preserves_order(self, xi, shift3):
-        shift = shift3[: xi.dim]
-        moved = xi.translate(shift)
-        expected = [tuple(c + s for c, s in zip(p, shift)) for p in xi.points]
-        # translation is order-preserving: positions line up elementwise
-        assert list(moved.points) == expected
-
     def test_one_dimensional_points_accept_bare_ints(self):
         assert IndexSet(1, (3, 1, 2)).points == ((1,), (2,), (3,))
 
@@ -177,14 +169,6 @@ class TestLocate:
 class TestInt64Sums:
     # coordinate sums that would leave int64 must raise, not wrap around
     big = 2**62
-
-    def test_translate(self):
-        xi = IndexSet(1, ((self.big,),))
-        assert xi.translate((self.big - 1,)).points == ((2**63 - 1,),)
-        with pytest.raises(DomainError):
-            xi.translate((self.big,))
-        with pytest.raises(DomainError):
-            IndexSet(1, ((-self.big,),)).translate((-self.big - 1,))
 
     def test_minkowski_sum(self):
         a = IndexSet(2, ((0, self.big), (1, 0)))

@@ -24,14 +24,14 @@ from gdesprit.errors import (
     RankDeficiencyError,
 )
 from gdesprit.esprit import (
-    COMBO_RETRIES,
+    EIGVEC_COND_LIMIT,
     EspritOptions,
     auto_order,
     esprit_1d,
     esprit_block,
     esprit_nd,
-    _coeff_warnings,
     _coefficients,
+    _estimate_warnings,
     _shift_from_masks,
     joint_eig,
 )
@@ -161,6 +161,20 @@ def gelsd_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def eig_full_calls(monkeypatch):
+    """Count the calls of the dense eigendecomposition."""
+    calls = []
+    eig = linalg_backend.eig_full
+
+    def counted(A):
+        calls.append(A.shape)
+        return eig(A)
+
+    monkeypatch.setattr(linalg_backend, "eig_full", counted)
+    return calls
+
+
 def model_samples(domain, zetas, rng, noise=0.0):
     """Samples of random coefficients on ``domain``, plus relative noise."""
     K = len(zetas)
@@ -185,7 +199,7 @@ class TestRecoverCoeffs:
         f = MdSequence(make_box((6,)), np.ones(6))
         zetas = np.log(np.array([[1.0 + 0j], [1.0 + 1e-16j]]))
         _, cond = lstsq_minimum_norm(vandermonde(f.domain, zetas), f.values)
-        assert "condition" in _coeff_warnings(cond)[0]
+        assert "condition" in _estimate_warnings(1.0, cond)[0]
 
     @given(gapped_product_sets(), st.integers(0, 10_000), st.floats(0.0, 0.6))
     def test_matches_least_squares_oracle_on_product_sets(self, domain, seed, damping):
@@ -384,19 +398,25 @@ class TestJointEig:
             err = match_frequencies(nodes, jd.nodes).lambda_errors.max()
             assert err < 1e-8
 
-    def test_incompatible_matrices_raise(self):
+    def test_one_draw_per_pairing(self, eig_full_calls):
+        nodes = np.exp(1j * np.random.default_rng(3).uniform(-np.pi, np.pi, (4, 3)))
+        joint_eig(self._shared_basis_family(nodes, 3))
+        assert eig_full_calls == [(4, 4)]
+
+    def test_incompatible_matrices_raise(self, eig_full_calls):
         rng = np.random.default_rng(12)
         A = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         B = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         with pytest.raises(PairingError) as err:
             joint_eig([A, B])
-        assert err.value.attempts == COMBO_RETRIES + 1
         assert err.value.residuals is not None
+        assert eig_full_calls == [(8, 8)]
 
-    def test_identical_scalar_matrices_cannot_separate(self):
+    def test_identical_scalar_matrices_cannot_separate(self, eig_full_calls):
         eye = np.eye(2, dtype=complex)
         with pytest.raises(PairingError, match="repeated"):
             joint_eig([eye, eye])
+        assert eig_full_calls == [(2, 2)]
 
     def test_input_validation(self):
         with pytest.raises(DomainError):
@@ -605,6 +625,25 @@ class TestEspritNd:
         assert report.combo_used.shape == (2,)
         assert np.isfinite(report.coeff_condition)
         assert report.warnings == ()
+
+    @pytest.mark.parametrize("cond", [1e13, np.inf, np.nan])
+    def test_defective_pairing_basis_is_reported(self, monkeypatch, cond):
+        # the eigenvector condition of the pairing reaches the report, and
+        # only the report: no Python warning is raised on the way
+        eig = linalg_backend.eig_full
+        monkeypatch.setattr(
+            linalg_backend, "eig_full", lambda A: dataclasses.replace(eig(A), eigvec_cond=cond)
+        )
+        model = exact_model(4, 2, 3)
+        xi = make_box((4, 4))
+        f = eval_model(model, minkowski_sum(xi, xi))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = esprit_nd(f, xi, xi, EspritOptions(model_order=4))
+        assert report.warnings == (
+            f"eigenvector matrix condition {cond:.3e} exceeds {EIGVEC_COND_LIMIT:.0e}; "
+            "input is numerically defective",
+        )
 
 
 class TestEspritBlock:

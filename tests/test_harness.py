@@ -124,8 +124,9 @@ class TestExperimentSpec:
     def test_validates_trials_and_ratios(self):
         with pytest.raises(DomainError):
             small_spec(trials=0)
-        with pytest.raises(DomainError):
-            small_spec(noise_ratios=(0.0, -1e-3))
+        for ratios in [(0.0, -1e-3), (float("nan"), 1e-3), (float("inf"),), (True,)]:
+            with pytest.raises(DomainError):
+                small_spec(noise_ratios=ratios)
 
     def test_ratios_coerced_to_float(self):
         spec = small_spec(noise_ratios=(0, 1))
@@ -424,6 +425,9 @@ class TestSpecSerialization:
             lambda d: d["model"].update(damping_bound="x"),
             lambda d: d.update(trials="two"),
             lambda d: d.update(trials=1.5),
+            lambda d: d.update(noise_ratios=[float("nan"), 1e-3]),
+            lambda d: d.update(noise_ratios=[float("inf")]),
+            lambda d: d.update(noise_ratios=[True]),
         ],
     )
     def test_malformed_input(self, mutate):
