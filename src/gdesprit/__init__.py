@@ -8,6 +8,7 @@ not boxes, through shift invariance of the signal subspace.
 from .domains import (
     DeletionMasks,
     IndexSet,
+    capacity,
     degenerate_fibers,
     deletion_masks,
     erode,
@@ -30,14 +31,15 @@ from .errors import (
 from .esprit import (
     EspritOptions,
     EstimationReport,
+    GdHankel,
     JointDiagonalization,
     auto_order,
+    build_hankel,
     esprit_1d,
     esprit_block,
     esprit_nd,
     joint_eig,
 )
-from .hankel import GdHankel, build_hankel, capacity
 from .harness import (
     ExperimentSpec,
     FrequencyMatch,

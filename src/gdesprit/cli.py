@@ -23,10 +23,9 @@ from pathlib import Path
 import numpy as np
 
 from . import harness, serialize
-from .domains import degenerate_fibers, erode, minkowski_sum
+from .domains import capacity, degenerate_fibers, erode, minkowski_sum
 from .errors import INPUT_ERRORS, RUNTIME_ERRORS, DomainError
 from .esprit import EspritOptions, esprit_nd
-from .hankel import capacity
 from .signal import add_noise, eval_model, random_model
 
 USAGE_ERROR = 2
@@ -186,6 +185,8 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def cmd_domain_info(args: argparse.Namespace) -> int:
+    if len(args.grids) > 2:
+        raise DomainError("domain-info takes at most two grids")
     grids = []
     for label, text in zip(("xi", "upsilon"), args.grids):
         grid = serialize.grid_from_spec(parse_grid_arg(text))
@@ -277,9 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "domain-info" and len(args.grids) > 2:
-        print("domain-info takes at most two grids", file=sys.stderr)
-        return USAGE_ERROR
     try:
         return args.func(args)
     except INPUT_ERRORS as exc:

@@ -315,3 +315,13 @@ def deletion_masks(xi: IndexSet, p: int) -> DeletionMasks:
     keep[0, order[last]] = keep[1, order[first]] = False
     keep_minus, keep_plus = (tuple(np.flatnonzero(k).tolist()) for k in keep)
     return DeletionMasks(dimension_p=p, keep_minus=keep_minus, keep_plus=keep_plus)
+
+
+def capacity(xi: IndexSet) -> int:
+    """Largest model order the row grid can resolve.
+
+    Equals the smallest over dimensions of (number of points minus number of
+    fibers); for an N-cube in d dimensions this is N^(d-1) * (N-1).
+    Degenerate fibers raise before any estimate is attempted.
+    """
+    return min(len(deletion_masks(xi, p).keep_minus) for p in range(1, xi.dim + 1))

@@ -37,17 +37,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg_backend as lb
-from .domains import IndexSet, DeletionMasks, deletion_masks, make_box
+from .domains import IndexSet, DeletionMasks, _check_sums, deletion_masks, make_box
 from .errors import (
     CapacityError,
+    CoverageError,
     DomainError,
     ModelOrderError,
     PairingError,
     RankDeficiencyError,
 )
-from .hankel import DEFAULT_RANK_REL_TOL, auto_order, build_hankel
 from .linalg_backend import _readonly
 from .signal import ExponentialModel, MdSequence, _axis_powers, vandermonde
+
+# Numerical-rank cutoff used when no explicit tolerance is given; suited to
+# noise-free data.
+DEFAULT_RANK_REL_TOL = 1e-10
 
 # Condition estimate of the coefficient system beyond which the recovered
 # coefficients are flagged as unreliable.
@@ -117,6 +121,57 @@ class EstimationReport:
     coeff_condition: float
     unused_samples: int
     warnings: tuple[str, ...] = field(default=())
+
+
+@dataclass(frozen=True)
+class GdHankel:
+    """Dense sum-indexed matrix and the number of samples no entry reads."""
+
+    matrix: np.ndarray
+    unused_samples: int
+
+
+def build_hankel(f: MdSequence, xi: IndexSet, upsilon: IndexSet) -> GdHankel:
+    """Assemble the |Xi| x |Upsilon| matrix H[n, m] = f(x_n + y_m).
+
+    Rows and columns run through the canonical orders of the row grid Xi and
+    the column grid Upsilon.  In one dimension with contiguous ranges this is
+    an ordinary Hankel matrix (constant along anti-diagonals); on boxes it is
+    the block-Hankel matrix induced by the vectorized index.
+
+    Every needed sum x + y must be covered by ``f.domain``; the first missing
+    index (scanning rows, then columns) is reported otherwise.  Samples at no
+    sum are counted in ``unused_samples``.
+    """
+    d = f.domain.dim
+    if xi.dim != d or upsilon.dim != d:
+        raise DomainError(
+            f"dimension mismatch: samples {d}, rows {xi.dim}, columns {upsilon.dim}"
+        )
+    _check_sums(xi.bounding_box, upsilon.bounding_box)
+    xs, ys = xi.as_array, upsilon.as_array
+    idx = f.domain.locate(xs[:, None, p] + ys[None, :, p] for p in range(d))
+    if (idx < 0).any():
+        n, m = np.argwhere(idx < 0)[0]
+        missing = tuple((xs[n] + ys[m]).tolist())
+        problem = "is required by the structured matrix but was not provided"
+        raise CoverageError(f"sample at index {missing} {problem}", missing=missing)
+    used = np.zeros(len(f.domain), dtype=bool)
+    used[idx] = True
+    unused = len(f.domain) - int(np.count_nonzero(used))
+    return GdHankel(matrix=_readonly(f.values[idx]), unused_samples=unused)
+
+
+def auto_order(singular_values: np.ndarray, rel_tol: float) -> int:
+    """Largest K with sigma_K >= rel_tol * sigma_1 (spectrum given descending)."""
+    if not 0 < rel_tol < 1:
+        raise DomainError(f"rel_tol must lie in (0, 1), got {rel_tol}")
+    s = np.asarray(singular_values, dtype=np.float64).ravel()
+    if s.size == 0:
+        raise DomainError("empty singular value sequence")
+    if s[0] <= 0:
+        return 0
+    return int(np.count_nonzero(s >= rel_tol * s[0]))
 
 
 def _principal_log(nodes: np.ndarray) -> np.ndarray:
@@ -302,7 +357,7 @@ def esprit_nd(
         if K < 1:
             raise ModelOrderError("selected model order is zero; nothing to recover")
         _check_capacity(K, cap, len(upsilon))
-    if s[K - 1] <= max(H.shape) * np.finfo(np.float64).eps * s[0]:
+    if auto_order(s, max(H.matrix.shape) * np.finfo(np.float64).eps) < K:
         raise ModelOrderError(
             f"sample matrix has numerical rank below {K}; "
             "fewer terms are present than requested"

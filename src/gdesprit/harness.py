@@ -67,6 +67,9 @@ class ExperimentSpec:
     output: str | None = None
 
     def __post_init__(self):
+        # the name becomes a file name under the output directory
+        if not isinstance(self.name, str) or self.name in ("", ".", "..") or {"/", "\\"} & set(self.name):
+            raise DomainError(f"experiment name must be a plain file name, got {self.name!r}")
         if (self.upsilon is None) == (self.omega is None):
             raise DomainError("give exactly one of upsilon (column grid) or omega (sampling domain)")
         if self.trials < 1:

@@ -212,6 +212,8 @@ def random_model(
         raise DomainError(f"dimension must be at least 1, got {d}")
     if layout not in _LAYOUTS:
         raise DomainError(f"unknown layout {layout!r}; expected one of {_LAYOUTS}")
+    if _number(damping_bound, "damping_bound") < 0:
+        raise DomainError(f"damping_bound must be nonnegative, got {damping_bound}")
     if layout == "spiral":
         if d != 2:
             raise DomainError("the spiral layout is only defined for d=2")

@@ -14,10 +14,9 @@ import pytest
 from oracles import cube_esprit_ref, prony_1d, weyl_jump_bracket
 
 from gdesprit import linalg_backend as lb
-from gdesprit.domains import make_box
+from gdesprit.domains import capacity, make_box
 from gdesprit.errors import PairingError
-from gdesprit.esprit import EspritOptions, esprit_1d, esprit_nd, joint_eig
-from gdesprit.hankel import build_hankel, capacity
+from gdesprit.esprit import EspritOptions, build_hankel, esprit_1d, esprit_nd, joint_eig
 from gdesprit.harness import (
     bundled_spec,
     match_frequencies,

@@ -145,6 +145,16 @@ class TestSynth:
         assert capsys.readouterr().err.startswith("error: --seed must be nonnegative")
         assert not out.exists()
 
+    def test_negative_damping_bound_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "d.json"
+        code = run_cli(
+            "synth", "--grid", "box:9,9", "--order", "3", "--layout", "random_complex",
+            "--damping-bound", "-0.5", "--seed", "1", "--out", str(out),
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: damping_bound must be nonnegative")
+        assert not out.exists()
+
 
 class TestEstimate:
     def test_round_trip_recovers_model(self, tmp_path, capsys):
@@ -450,6 +460,15 @@ class TestExperiment:
         assert capsys.readouterr().err.startswith("error: a noise ratio must be a finite number")
         assert not (out_dir / "cli_exp.csv").exists()
 
+    def test_name_cannot_leave_the_output_directory(self, tmp_path, capsys):
+        base = tmp_path / "a" / "b"
+        base.mkdir(parents=True)
+        spec_path = self._spec_file(base, lambda d: d.update(name="../../escape"))
+        code = run_cli("experiment", str(spec_path), "--out", str(base / "r4"))
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: experiment name must be")
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["a", "b", "spec.json"]
+
     def test_unknown_scenario_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli("experiment", "--scenario", "nope")
@@ -489,7 +508,9 @@ class TestDomainInfo:
     def test_too_many_grids(self, capsys):
         code = run_cli("domain-info", "box:2", "box:2", "box:2")
         assert code == 2
-        assert "at most two" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "at most two" in err
+        assert err.startswith("error:")
 
     def test_invalid_grid_spec(self, capsys):
         code = run_cli("domain-info", "box:zz")

@@ -11,6 +11,7 @@ import oracles
 from strategies import index_sets, point_lists, points, run_domains
 from gdesprit.domains import (
     IndexSet,
+    capacity,
     degenerate_fibers,
     deletion_masks,
     erode,
@@ -23,7 +24,6 @@ from gdesprit.errors import (
     DegenerateFiberError,
     DomainError,
 )
-from gdesprit.hankel import capacity
 
 
 def convex_fibers(xi):

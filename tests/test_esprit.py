@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import gdesprit.esprit
 import oracles
 from gdesprit import linalg_backend
 from gdesprit.domains import IndexSet, deletion_masks, make_box, make_shape, minkowski_sum, erode
@@ -27,6 +28,7 @@ from gdesprit.esprit import (
     EIGVEC_COND_LIMIT,
     EspritOptions,
     auto_order,
+    build_hankel,
     esprit_1d,
     esprit_block,
     esprit_nd,
@@ -35,7 +37,6 @@ from gdesprit.esprit import (
     _shift_from_masks,
     joint_eig,
 )
-from gdesprit.hankel import build_hankel
 from gdesprit.harness import bundled_spec, match_frequencies, run_experiment
 from gdesprit.linalg_backend import lstsq_minimum_norm, truncated_svd
 from gdesprit.signal import (
@@ -729,6 +730,44 @@ class TestEspritBlock:
         tensor[1, 1] = np.nan
         with pytest.raises(NonFiniteError):
             esprit_block(tensor, EspritOptions(model_order=1))
+
+
+def count_calls(monkeypatch, names):
+    """Wrap each named function of ``gdesprit.esprit`` where the module looks
+    it up, as the benchmark tracer does, and count its calls."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        inner = getattr(gdesprit.esprit, name)
+
+        def counted(*args, _name=name, _inner=inner, **kwargs):
+            calls[_name] += 1
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(gdesprit.esprit, name, counted)
+    return calls
+
+
+class TestStagesLookedUpAtCallTime:
+    """Each stage is a global of ``gdesprit.esprit`` read at call time, so a
+    wrapper installed there sees every call; a name bound at import would
+    still resolve but be bypassed."""
+
+    def test_esprit_nd_stages_on_half_disc(self, monkeypatch):
+        omega = make_shape({"kind": "half_disc", "radius": 6})
+        xi = make_box((3, 3))
+        f = eval_model(exact_model(4, 2, 43), omega)
+        calls = count_calls(
+            monkeypatch, ("build_hankel", "deletion_masks", "joint_eig", "vandermonde")
+        )
+        gdesprit.esprit.esprit_nd(f, xi, erode(omega, xi), EspritOptions(model_order=4))
+        # a half-disc is no product set, so the coefficients take the V fallback
+        assert calls == {"build_hankel": 1, "deletion_masks": 2, "joint_eig": 1, "vandermonde": 1}
+
+    def test_esprit_block_calls_esprit_nd(self, monkeypatch):
+        tensor = eval_model(exact_model(2, 2, 5), make_box((3, 3))).values.reshape((3, 3), order="F")
+        calls = count_calls(monkeypatch, ("esprit_nd",))
+        gdesprit.esprit.esprit_block(tensor, EspritOptions(model_order=2))
+        assert calls == {"esprit_nd": 1}
 
 
 class TestEspritOptions:

@@ -12,7 +12,7 @@ import oracles
 from strategies import index_sets
 from gdesprit.domains import IndexSet, make_box, minkowski_sum
 from gdesprit.errors import CoverageError, DomainError
-from gdesprit.hankel import DEFAULT_RANK_REL_TOL, auto_order, build_hankel
+from gdesprit.esprit import DEFAULT_RANK_REL_TOL, auto_order, build_hankel
 from gdesprit.linalg_backend import truncated_svd
 from gdesprit.signal import MdSequence, add_noise, eval_model, random_model, vandermonde
 
@@ -32,7 +32,7 @@ class TestBuildHankel:
         upsilon = make_box((4,), offset=(1,))  # {1, 2, 3, 4}
         H = build_hankel(f, xi, upsilon)
         np.testing.assert_array_equal(H.matrix, [[1, 2, 3, 4], [2, 3, 4, 5]])
-        assert H.shape == (2, 4)
+        assert H.matrix.shape == (2, 4)
 
     @given(
         index_sets(dim=2, max_size=6, lo=-3, hi=3),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import itertools
 import json
 
@@ -187,6 +188,15 @@ class TestRunExperiment:
             np.testing.assert_array_equal(a.lambda_errors, b.lambda_errors)
             np.testing.assert_array_equal(a.singular_values, b.singular_values)
             assert a.coeff_rel_error == b.coeff_rel_error
+
+    def test_negative_damping_bound_writes_nothing(self, tmp_path):
+        spec = dataclasses.replace(
+            small_spec(output=str(tmp_path)),
+            model=ModelRecipe(layout="random_complex", K=3, d=2, seed=7, damping_bound=-0.5),
+        )
+        with pytest.raises(DomainError, match="damping_bound must be nonnegative"):
+            run_experiment(spec)
+        assert not (tmp_path / "unit.csv").exists()
 
     def test_parallel_run_matches_serial(self):
         spec = small_spec(trials=4)
@@ -428,6 +438,13 @@ class TestSpecSerialization:
             lambda d: d.update(noise_ratios=[float("nan"), 1e-3]),
             lambda d: d.update(noise_ratios=[float("inf")]),
             lambda d: d.update(noise_ratios=[True]),
+            lambda d: d.update(name=5),
+            lambda d: d.update(name=""),
+            lambda d: d.update(name="."),
+            lambda d: d.update(name=".."),
+            lambda d: d.update(name="../../escape"),
+            lambda d: d.update(name="sub/unit"),
+            lambda d: d.update(name="sub\\unit"),
         ],
     )
     def test_malformed_input(self, mutate):

@@ -246,6 +246,11 @@ class TestRandomModel:
         with pytest.raises(DomainError):
             random_model(3, 2, np.random.default_rng(0), layout="lattice")
 
+    @pytest.mark.parametrize("bound", [-0.5, float("nan"), float("inf")])
+    def test_bad_damping_bound(self, bound):
+        with pytest.raises(DomainError, match="damping_bound"):
+            random_model(3, 2, np.random.default_rng(0), layout="random_complex", damping_bound=bound)
+
     def test_generation_gives_up_on_constant_rng(self):
         class ConstantRng:
             def uniform(self, low=0.0, high=1.0, size=None):
