@@ -65,10 +65,6 @@ def parse_grid_arg(text: str) -> dict:
     raise DomainError(f"unknown grid kind {kind!r} in {text!r}")
 
 
-def _sidecar_path(out: Path) -> Path:
-    return out.with_name(out.stem + ".model.json")
-
-
 def cmd_synth(args: argparse.Namespace) -> int:
     if args.seed < 0:  # numpy seed sequences take nonnegative integers only
         raise DomainError(f"--seed must be nonnegative, got {args.seed}")
@@ -91,7 +87,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
     out = Path(args.out)
     serialize.dump_json(serialize.samples_to_dict(noisy, omega_spec), out)
-    sidecar = _sidecar_path(out)
+    sidecar = out.with_name(out.stem + ".model.json")
     serialize.dump_json(serialize.model_to_dict(model), sidecar)
     print(f"wrote {len(omega)} samples to {out}")
     print(f"wrote ground-truth model to {sidecar}")
@@ -266,7 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a bundled scenario instead of a spec file (repeatable)",
     )
     p_exp.add_argument("--out", help="output directory (default: current directory)")
-    p_exp.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    jobs_help = "parallel worker processes; above 1, set OPENBLAS_NUM_THREADS=1 or it runs slower"
+    p_exp.add_argument("--jobs", type=int, default=1, help=jobs_help)
     p_exp.set_defaults(func=cmd_experiment)
 
     p_info = sub.add_parser("domain-info", help="inspect one or two grids")

@@ -5,16 +5,12 @@ deduplicated, read-only ``(n, d)`` int64 array, ``as_array``, in canonical
 order: points are compared by their reversed coordinate tuple, so the first
 coordinate varies fastest.  On a box of side N this is exactly the
 vectorization m1 + m2*N + m3*N**2 + ..., on which every structured matrix is
-built.  ``points`` is the same set as int tuples.  Dimensions count from 1.
+built.  It is the only stored form; ``points``, the same set as int tuples,
+is built on first read.  Dimensions count from 1.
 
-Every point lookup is :meth:`IndexSet.locate`: each query coordinate is
-ranked among the set's distinct values along its dimension by binary search,
-the ranks form a key over the set's bounding box with unused values squeezed
-out (last dimension most significant, so keys follow the canonical order), and
-a binary search among the points' keys gives the position.  Nothing is sized
-by box volume.  Where the key count of the leading dimensions would pass
-int64, the running key is first replaced by its rank among the set's own keys
-of those dimensions, so every set can be looked up.
+Every point lookup is :meth:`IndexSet.locate`: a binary search per dimension
+ranks the query coordinates, and one among the points' keys gives the
+position.  Nothing is sized by box volume, and every set can be looked up.
 
 Coordinate sums (boxes, translation, Minkowski sum, erosion, structured matrices) are
 int64 array arithmetic; each is first checked on the bounding boxes, and a sum
@@ -25,17 +21,22 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import DecompositionError, DegenerateFiberError, DomainError
-from .linalg_backend import _readonly
 
 Point = tuple[int, ...]
 
 _INT64 = np.iinfo(np.int64)
+
+
+def _readonly(arr: np.ndarray) -> np.ndarray:
+    arr = np.array(arr, copy=True)
+    arr.setflags(write=False)
+    return arr
 
 
 def _coords(raw, dim: int) -> np.ndarray:
@@ -73,23 +74,27 @@ def _search(values: np.ndarray, query, found):
     return at, found & (values[at] == query)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IndexSet:
-    """Immutable finite subset of Z^d in canonical order."""
+    """Immutable finite subset of Z^d in canonical order, built from any
+    ``(n, dim)`` integer array-like of points."""
 
     dim: int
-    points: tuple[Point, ...]
-    as_array: np.ndarray = field(init=False, repr=False, compare=False)
+    as_array: np.ndarray
 
     def __post_init__(self):
         if self.dim < 1:
             raise DomainError(f"dimension must be at least 1, got {self.dim}")
-        arr = _coords(self.points, self.dim)
+        arr = _coords(self.as_array, self.dim)
         arr = arr[np.lexsort(arr.T)]
         arr = arr[np.r_[True, (arr[1:] != arr[:-1]).any(axis=1)]]
         arr.setflags(write=False)
         object.__setattr__(self, "as_array", arr)
-        object.__setattr__(self, "points", tuple(map(tuple, arr.tolist())))
+
+    @cached_property
+    def points(self) -> tuple[Point, ...]:
+        """The points as int tuples, in canonical order."""
+        return tuple(self)
 
     @cached_property
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
@@ -141,10 +146,16 @@ class IndexSet:
         return np.where(found, pos, -1)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.as_array)
 
     def __iter__(self):
-        return iter(self.points)
+        return map(tuple, self.as_array.tolist())
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, IndexSet) and np.array_equal(self.as_array, other.as_array)
+
+    def __hash__(self) -> int:
+        return hash((self.dim, self.as_array.tobytes()))
 
     def __contains__(self, point) -> bool:
         try:
@@ -161,12 +172,12 @@ class DeletionMasks:
     ``keep_minus`` drops the last member of every fiber, ``keep_plus`` drops
     the first.  Both are ascending positions into the canonical order, and
     entry j of ``keep_plus`` is entry j of ``keep_minus`` translated by one
-    step along dimension ``dimension_p``.
+    step along dimension ``dimension_p``.  Both are read-only int arrays.
     """
 
     dimension_p: int
-    keep_minus: tuple[int, ...]
-    keep_plus: tuple[int, ...]
+    keep_minus: np.ndarray
+    keep_plus: np.ndarray
 
 
 def _number(value, what: str, integral: bool = False):
@@ -313,7 +324,7 @@ def deletion_masks(xi: IndexSet, p: int) -> DeletionMasks:
         )
     keep = np.ones((2, len(xi)), dtype=bool)
     keep[0, order[last]] = keep[1, order[first]] = False
-    keep_minus, keep_plus = (tuple(np.flatnonzero(k).tolist()) for k in keep)
+    keep_minus, keep_plus = (_readonly(np.flatnonzero(k)) for k in keep)
     return DeletionMasks(dimension_p=p, keep_minus=keep_minus, keep_plus=keep_plus)
 
 

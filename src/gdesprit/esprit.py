@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg_backend as lb
-from .domains import IndexSet, DeletionMasks, _check_sums, deletion_masks, make_box
+from .domains import IndexSet, DeletionMasks, _check_sums, _number, _readonly, deletion_masks, make_box
 from .errors import (
     CapacityError,
     CoverageError,
@@ -46,7 +46,6 @@ from .errors import (
     PairingError,
     RankDeficiencyError,
 )
-from .linalg_backend import _readonly
 from .signal import ExponentialModel, MdSequence, _axis_powers, vandermonde
 
 # Numerical-rank cutoff used when no explicit tolerance is given; suited to
@@ -92,8 +91,10 @@ class EspritOptions:
     combo_seed: int = 0
 
     def __post_init__(self):
-        if self.model_order is not None and self.model_order < 1:
-            raise DomainError(f"model order must be at least 1, got {self.model_order}")
+        if self.model_order is not None:
+            self.model_order = _number(self.model_order, "the model order", integral=True)
+            if self.model_order < 1:
+                raise DomainError(f"model order must be at least 1, got {self.model_order}")
         if not 0 < self.auto_rel_tol < 1:
             raise DomainError(f"auto_rel_tol must lie in (0, 1), got {self.auto_rel_tol}")
         if self.combo_seed < 0:  # numpy seed sequences take nonnegative integers only
@@ -258,11 +259,10 @@ def _shift_from_masks(U: np.ndarray, masks: DeletionMasks) -> np.ndarray:
     # (the last member of every fiber), U_-^* U_- = I - W^* W and by Woodbury
     # the least-squares solution of U_- A = U_+ is
     # A = G + W^* (I - W W^*)^{-1} W G with G = U_-^* U_+.
-    minus = np.asarray(masks.keep_minus)
     dropped = np.ones(U.shape[0], dtype=bool)
-    dropped[minus] = False
+    dropped[masks.keep_minus] = False
     W = U[dropped]
-    G = U[minus].conj().T @ U[np.asarray(masks.keep_plus)]
+    G = U[masks.keep_minus].conj().T @ U[masks.keep_plus]
     gram = np.eye(W.shape[0]) - W @ W.conj().T
     try:
         correction = lb.lstsq(gram, W @ G)

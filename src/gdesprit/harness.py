@@ -42,6 +42,9 @@ class ModelRecipe:
     damping_bound: float = 0.0
 
     def __post_init__(self):
+        for name in ("K", "d", "seed"):
+            object.__setattr__(self, name, _number(getattr(self, name), name, integral=True))
+        object.__setattr__(self, "damping_bound", _number(self.damping_bound, "damping_bound"))
         if self.seed < 0:  # numpy seed sequences take nonnegative integers only
             raise DomainError(f"seed must be nonnegative, got {self.seed}")
 
@@ -72,6 +75,7 @@ class ExperimentSpec:
             raise DomainError(f"experiment name must be a plain file name, got {self.name!r}")
         if (self.upsilon is None) == (self.omega is None):
             raise DomainError("give exactly one of upsilon (column grid) or omega (sampling domain)")
+        object.__setattr__(self, "trials", _number(self.trials, "trials", integral=True))
         if self.trials < 1:
             raise DomainError(f"trials must be at least 1, got {self.trials}")
         ratios = tuple(_number(r, "a noise ratio") for r in self.noise_ratios)
@@ -104,10 +108,6 @@ class FrequencyMatch:
     zeta_errors: np.ndarray
 
 
-def _wrap_imag(values: np.ndarray) -> np.ndarray:
-    return (values + np.pi) % (2 * np.pi) - np.pi
-
-
 def match_frequencies(true_nodes: np.ndarray, est_nodes: np.ndarray) -> FrequencyMatch:
     """Match estimated node vectors to reference ones, minimizing total error.
 
@@ -130,7 +130,8 @@ def match_frequencies(true_nodes: np.ndarray, est_nodes: np.ndarray) -> Frequenc
     assignment[rows] = cols
     lambda_errors = cost[np.arange(t.shape[0]), assignment]
     dz = np.log(t) - np.log(e[assignment])
-    zeta_errors = np.abs(dz.real + 1j * _wrap_imag(dz.imag)).max(axis=1)
+    wrapped = (dz.imag + np.pi) % (2 * np.pi) - np.pi
+    zeta_errors = np.abs(dz.real + 1j * wrapped).max(axis=1)
     return FrequencyMatch(
         assignment=assignment, lambda_errors=lambda_errors, zeta_errors=zeta_errors
     )
@@ -355,11 +356,7 @@ def spec_from_dict(data: dict) -> ExperimentSpec:
     try:
         model = data["model"]
         recipe = ModelRecipe(
-            layout=model["layout"],
-            K=_number(model["K"], "K", integral=True),
-            d=_number(model["d"], "d", integral=True),
-            seed=_number(model["seed"], "seed", integral=True),
-            damping_bound=_number(model.get("damping_bound", 0.0), "damping_bound"),
+            model["layout"], model["K"], model["d"], model["seed"], model.get("damping_bound", 0.0)
         )
         grid = data["grid"]
         return ExperimentSpec(
@@ -369,7 +366,7 @@ def spec_from_dict(data: dict) -> ExperimentSpec:
             upsilon=grid.get("upsilon"),
             omega=grid.get("omega"),
             noise_ratios=tuple(data.get("noise_ratios", (0.0,))),
-            trials=_number(data.get("trials", 20), "trials", integral=True),
+            trials=data.get("trials", 20),
             output=data.get("output"),
         )
     except (KeyError, TypeError) as exc:

@@ -13,13 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .domains import _readonly
 from .errors import DomainError, RankDeficiencyError
-
-
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    arr = np.array(arr, copy=True)
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ def _from_pair(raw) -> complex:
 
 def grid_to_spec(grid: IndexSet) -> dict:
     """Explicit mask descriptor for an arbitrary index set."""
-    return {"dim": grid.dim, "kind": "mask", "points": [list(p) for p in grid.points]}
+    return {"dim": grid.dim, "kind": "mask", "points": grid.as_array.tolist()}
 
 
 def model_to_dict(model: ExponentialModel) -> dict:

@@ -7,9 +7,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .domains import IndexSet, _number
+from .domains import IndexSet, _number, _readonly
 from .errors import DomainError, GenerationError, NonFiniteError
-from .linalg_backend import _readonly
 
 # Node vectors closer than this (max over dimensions, in node space) count as
 # colliding during random generation.

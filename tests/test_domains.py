@@ -62,6 +62,49 @@ class TestCanonicalOrder:
         assert IndexSet(d, xi.points).points == xi.points
 
 
+class TestArrayValueSemantics:
+    """An IndexSet is its canonical array: equality, hashing and ``points``
+    all follow from ``as_array``, and nothing it hands out can be written."""
+
+    @given(point_lists(), st.randoms(use_true_random=False))
+    def test_permuted_and_duplicated_points_give_one_set(self, dim_pts, rnd):
+        d, pts = dim_pts
+        shuffled = pts + rnd.sample(pts, len(pts))
+        rnd.shuffle(shuffled)
+        a, b = IndexSet(d, tuple(pts)), IndexSet(d, tuple(shuffled))
+        assert a == b
+        assert hash(a) == hash(b)
+        assert IndexSet(d, a.as_array) == a
+        assert list(b.points) == oracles.canonical_sort_ref(pts)
+
+    def test_sets_differ_by_points_and_dimension(self):
+        a = IndexSet(2, ((0, 0), (1, 0)))
+        assert a != IndexSet(2, ((0, 0), (0, 1)))
+        assert a != IndexSet(1, (0, 1))
+        assert IndexSet(1, (0, 1)) != IndexSet(2, ((0, 1),))
+        assert a != a.points
+        assert len({a, IndexSet(2, ((1, 0), (0, 0), (1, 0)))}) == 1
+
+    def test_points_built_on_first_read(self):
+        xi = make_box((3, 2))
+        assert "points" not in vars(xi)
+        assert len(xi) == 6
+        assert list(xi) == [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1)]
+        assert (1, 1) in xi and xi == make_box((3, 2))
+        assert "points" not in vars(xi)
+        assert xi.points == tuple(xi)
+        assert all(type(c) is int for p in xi.points for c in p)
+        assert "points" in vars(xi)
+
+    def test_stored_and_mask_arrays_are_read_only(self):
+        xi = make_box((3, 3))
+        masks = deletion_masks(xi, 2)
+        for arr in (xi.as_array, masks.keep_minus, masks.keep_plus):
+            assert arr.dtype.kind == "i"
+            with pytest.raises(ValueError):
+                arr[0] = 1
+
+
 class TestIndexSet:
     def test_requires_points(self):
         with pytest.raises(DomainError):

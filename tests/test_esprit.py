@@ -787,3 +787,12 @@ class TestEspritOptions:
     def test_invalid_options(self, kwargs):
         with pytest.raises(DomainError):
             EspritOptions(**kwargs)
+
+    @pytest.mark.parametrize("order", [2.5, True, "3", float("nan")])
+    def test_model_order_must_be_an_integer(self, order):
+        with pytest.raises(DomainError):
+            EspritOptions(model_order=order)
+
+    def test_integral_model_order_normalised(self):
+        assert type(EspritOptions(model_order=np.int64(3)).model_order) is int
+        assert EspritOptions(model_order=3.0).model_order == 3

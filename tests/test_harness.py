@@ -106,6 +106,35 @@ class TestMatchFrequencies:
             match_frequencies(np.ones((2, 2)), np.ones((3, 2)))
 
 
+class TestModelRecipe:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("K", 2.5),
+            ("K", True),
+            ("K", "3"),
+            ("d", 1.5),
+            ("d", None),
+            ("seed", 0.5),
+            ("seed", True),
+            ("seed", -1),
+            ("damping_bound", float("nan")),
+            ("damping_bound", "0.1"),
+        ],
+    )
+    def test_malformed_field(self, field, value):
+        fields = dict(layout="uniform_imag", K=2, d=2, seed=0, damping_bound=0.0)
+        with pytest.raises(DomainError):
+            ModelRecipe(**{**fields, field: value})
+
+    def test_integral_values_normalised(self):
+        recipe = ModelRecipe(layout="uniform_imag", K=3.0, d=np.int64(2), seed=7.0, damping_bound=0)
+        assert (recipe.K, recipe.d, recipe.seed, recipe.damping_bound) == (3, 2, 7, 0.0)
+        assert all(type(v) is int for v in (recipe.K, recipe.d, recipe.seed))
+        assert type(recipe.damping_bound) is float
+        assert len(run_experiment(dataclasses.replace(small_spec(), model=recipe))) == 6
+
+
 class TestExperimentSpec:
     def test_requires_exactly_one_column_description(self):
         base = dict(
@@ -128,6 +157,11 @@ class TestExperimentSpec:
         for ratios in [(0.0, -1e-3), (float("nan"), 1e-3), (float("inf"),), (True,)]:
             with pytest.raises(DomainError):
                 small_spec(noise_ratios=ratios)
+
+    @pytest.mark.parametrize("trials", [2.5, True, "2", None])
+    def test_trials_must_be_an_integer(self, trials):
+        with pytest.raises(DomainError):
+            small_spec(trials=trials)
 
     def test_ratios_coerced_to_float(self):
         spec = small_spec(noise_ratios=(0, 1))
