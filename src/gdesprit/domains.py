@@ -259,8 +259,21 @@ def minkowski_sum(a: IndexSet, b: IndexSet) -> IndexSet:
     return IndexSet(a.dim, sums.reshape(-1, a.dim))
 
 
+def _runs(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start position and length of every maximal run of consecutive points
+    along dimension 1; in canonical order each run is contiguous."""
+    brk = np.r_[True, (arr[1:, 1:] != arr[:-1, 1:]).any(axis=1) | (np.diff(arr[:, 0]) != 1)]
+    starts = np.flatnonzero(brk)
+    return starts, np.diff(np.r_[starts, len(arr)])
+
+
 def erode(omega: IndexSet, xi: IndexSet) -> IndexSet:
     """Largest set Y with Y + xi contained in omega.
+
+    ``xi`` is the union of its runs along dimension 1, and y + run lies in
+    ``omega`` exactly when y + (run start) does and has at least the run's
+    length of points of its own ``omega`` run at or after it (its room).  So
+    one lookup per run of ``xi`` is made, not one per point.
 
     Raises :class:`DecompositionError` when no translate of ``xi`` fits
     inside ``omega``, and :class:`DomainError` when the candidates
@@ -272,9 +285,13 @@ def erode(omega: IndexSet, xi: IndexSet) -> IndexSet:
     shift = [-int(c) for c in xi.as_array[0]]
     _check_sums(omega.bounding_box, (shift, shift))  # the candidates
     _check_sums(omega.bounding_box, (shift, shift), xi.bounding_box)  # their translates
-    kept = omega.as_array - xi.as_array[0]
-    for x in xi.as_array[1:]:
-        kept = kept[omega.locate((kept + x).T) >= 0]
+    starts, lengths = _runs(omega.as_array)
+    room = np.repeat(starts + lengths, lengths) - np.arange(len(omega))
+    xs, ls = _runs(xi.as_array)
+    kept = omega.as_array[room >= ls[0]] - xi.as_array[0]  # xi[0] starts the first run
+    for x, length in zip(xi.as_array[xs[1:]], ls[1:]):
+        pos = omega.locate((kept + x).T)
+        kept = kept[(pos >= 0) & (room[pos] >= length)]
     if not len(kept):
         raise DecompositionError(
             "erosion is empty: no translate of the structure grid fits inside the sampling domain"

@@ -23,10 +23,11 @@ parts lie in (-pi, pi]; integer sampling cannot tell frequencies apart that
 differ by an integer multiple of 2*pi*i.
 
 The coefficients are the least-squares fit of the recovered terms to all
-samples.  On a product-set domain they come from the normal equations,
-built from per-dimension tables without forming the node-power matrix V,
-while V^*V stays well conditioned; otherwise from an SVD-based solve on V,
-where a numerical rank below the model order is a :class:`ModelOrderError`.
+samples.  On every domain they come from the normal equations while V^*V,
+with V the node-power matrix, stays well conditioned (on a product set
+V^*V is built from per-dimension tables without forming V); otherwise from
+an SVD-based solve on V, where a numerical rank below the model order is a
+:class:`ModelOrderError`.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ DEFAULT_RANK_REL_TOL = 1e-10
 COEFF_COND_LIMIT = 1e12
 
 # Condition of the Gram matrix V^*V (the square of V's) up to which
-# coefficients on a product-set domain come from the normal equations.
+# coefficients come from the normal equations.
 GRAM_COND_LIMIT = 1e8
 
 # Eigenvector-matrix condition of the combined shift matrix beyond which the
@@ -95,8 +96,10 @@ class EspritOptions:
             self.model_order = _number(self.model_order, "the model order", integral=True)
             if self.model_order < 1:
                 raise DomainError(f"model order must be at least 1, got {self.model_order}")
+        self.auto_rel_tol = _number(self.auto_rel_tol, "auto_rel_tol")
         if not 0 < self.auto_rel_tol < 1:
             raise DomainError(f"auto_rel_tol must lie in (0, 1), got {self.auto_rel_tol}")
+        self.combo_seed = _number(self.combo_seed, "combo_seed", integral=True)
         if self.combo_seed < 0:  # numpy seed sequences take nonnegative integers only
             raise DomainError(f"combo_seed must be nonnegative, got {self.combo_seed}")
 
@@ -202,33 +205,42 @@ def _coefficients(f: MdSequence, zetas: np.ndarray) -> tuple[np.ndarray, float]:
     """Least-squares coefficients of the terms ``zetas`` on the samples, and
     the condition number of their node-power matrix V.
 
-    On a product set (a box, possibly gapped) V is the Khatri-Rao product of
-    the per-dimension tables T_p, so V^*V is the Hadamard product of the
-    T_p^*T_p and V^*f is d contractions of the sample tensor; V is never
-    formed.  Those normal equations are solved only while V^*V is finite and
-    its condition is at most ``GRAM_COND_LIMIT`` (a non-finite table makes a
-    diagonal entry of V^*V non-finite).  Every other case goes to the
-    SVD-based solve on V, and there a rank below K raises
-    :class:`ModelOrderError`.
+    The normal equations V^*V c = V^*f are solved while V^*V is finite and
+    its condition is at most ``GRAM_COND_LIMIT``; their rounding error grows
+    like eps * cond(V^*V) on any domain.  On a product set (a box, possibly
+    gapped) V is the Khatri-Rao product of the per-dimension tables T_p, so
+    V^*V is the Hadamard product of the T_p^*T_p and V^*f is d contractions
+    of the sample tensor; V is never formed (a non-finite table makes a
+    diagonal entry of V^*V non-finite).  Any other domain forms V once.
+    Past the guard, the SVD-based solve on V takes over, and there a rank
+    below K raises :class:`ModelOrderError`.
     """
     K = zetas.shape[0]
     axes = f.domain.axes
     shape = [len(values) for values, _ in axes]
+    V = None
     if len(f.domain) == math.prod(shape):
         with np.errstate(over="ignore", invalid="ignore"):
             tables = [_axis_powers(values, zetas[:, p]) for p, (values, _) in enumerate(axes)]
             gram = np.ones((K, K), dtype=np.complex128)
             for T in tables:
                 gram *= T.conj().T @ T
-        if np.isfinite(gram).all():
-            lam = np.linalg.eigvalsh(gram)
-            if 0 < lam[-1] <= GRAM_COND_LIMIT * lam[0]:
-                # canonical order is first coordinate fastest
-                rhs = f.values.reshape(-1, shape[0]) @ tables[0].conj()
-                for T, n in zip(tables[1:], shape[1:]):
-                    rhs = (rhs.reshape(-1, n, K) * T.conj()).sum(axis=1)
-                return np.linalg.solve(gram, rhs[0]), float(np.sqrt(lam[-1] / lam[0]))
-    coeffs, cond = lb.lstsq_minimum_norm(vandermonde(f.domain, zetas), f.values)
+            # canonical order is first coordinate fastest
+            rhs = f.values.reshape(-1, shape[0]) @ tables[0].conj()
+            for T, n in zip(tables[1:], shape[1:]):
+                rhs = (rhs.reshape(-1, n, K) * T.conj()).sum(axis=1)
+            rhs = rhs[0]
+    else:
+        V = vandermonde(f.domain, zetas)
+        Vh = V.conj().T
+        gram, rhs = Vh @ V, Vh @ f.values
+    if np.isfinite(gram).all():
+        lam = np.linalg.eigvalsh(gram)
+        if 0 < lam[-1] <= GRAM_COND_LIMIT * lam[0]:
+            return np.linalg.solve(gram, rhs), float(np.sqrt(lam[-1] / lam[0]))
+    if V is None:
+        V = vandermonde(f.domain, zetas)
+    coeffs, cond = lb.lstsq_minimum_norm(V, f.values)
     if not np.isfinite(cond):
         raise ModelOrderError(
             f"least squares dropped a term entirely (model order {K} exceeds the "
@@ -258,23 +270,24 @@ def _shift_from_masks(U: np.ndarray, masks: DeletionMasks) -> np.ndarray:
     # U has orthonormal columns, so with W the rows that keep_minus drops
     # (the last member of every fiber), U_-^* U_- = I - W^* W and by Woodbury
     # the least-squares solution of U_- A = U_+ is
-    # A = G + W^* (I - W W^*)^{-1} W G with G = U_-^* U_+.
+    # A = G + W^* (I - W W^*)^{-1} W G with G = U_-^* U_+.  That system is
+    # Hermitian positive semidefinite, so one eigh gives both its numerical
+    # rank (gelsd's default cutoff, eps * rows * lambda_max) and its solution.
     dropped = np.ones(U.shape[0], dtype=bool)
     dropped[masks.keep_minus] = False
     W = U[dropped]
     G = U[masks.keep_minus].conj().T @ U[masks.keep_plus]
-    gram = np.eye(W.shape[0]) - W @ W.conj().T
-    try:
-        correction = lb.lstsq(gram, W @ G)
-    except RankDeficiencyError as err:
+    lam, Q = np.linalg.eigh(np.eye(W.shape[0]) - W @ W.conj().T)
+    full = np.count_nonzero(lam > np.finfo(np.float64).eps * len(lam) * lam[-1])
+    if full < len(lam):
         # the null spaces of I - W W^* and U_-^* U_- have the same dimension
-        rank = U.shape[1] - (W.shape[0] - err.rank)
+        rank = U.shape[1] - (len(lam) - full)
         raise RankDeficiencyError(
             f"rows kept along dimension {masks.dimension_p} have numerical rank "
             f"{rank} < {U.shape[1]} subspace columns",
             rank=rank,
-        ) from err
-    return G + W.conj().T @ correction
+        )
+    return G + W.conj().T @ (Q @ ((Q.conj().T @ (W @ G)) / lam[:, None]))
 
 
 def joint_eig(shift_matrices: list[np.ndarray], options: EspritOptions | None = None) -> JointDiagonalization:

@@ -86,9 +86,8 @@ def lstsq(A: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
     Never forms the normal equations.  Raises
     :class:`RankDeficiencyError` carrying the numerical rank when A loses
-    full column rank.  The shift solve of :mod:`gdesprit.esprit` uses U's
-    orthonormal columns to reduce its K-column least-squares problem to a
-    small square system I - W W^* with one row per fiber, solved here.
+    full column rank.  Nothing in the package calls it: the shift solve's
+    Hermitian fiber system goes to ``eigh`` in :mod:`gdesprit.esprit`.
     """
     A = np.asarray(A, dtype=np.complex128)
     Y = np.asarray(Y, dtype=np.complex128)

@@ -205,6 +205,8 @@ def random_model(
     Colliding node vectors (closer than ``NODE_COLLISION_TOL``) are redrawn
     up to ``COLLISION_RETRIES`` times, then :class:`GenerationError`.
     """
+    K = _number(K, "the model order", integral=True)
+    d = _number(d, "the dimension", integral=True)
     if K < 1:
         raise DomainError(f"model order must be at least 1, got {K}")
     if d < 1:

@@ -70,5 +70,19 @@ def run_domains(draw, p):
 
 
 @st.composite
+def gapped_run_sets(draw, dim):
+    """``dim``-d sets whose dimension-1 fibers are 1 to 3 runs of 1 to 3
+    points, separated by gaps of 1 or 2."""
+    pts = []
+    for frozen in draw(st.lists(points(dim - 1, -1, 1), min_size=1, max_size=3, unique=True)):
+        start = draw(st.integers(-3, 1))
+        for _ in range(draw(st.integers(1, 3))):
+            length = draw(st.integers(1, 3))
+            pts += [(v, *frozen) for v in range(start, start + length)]
+            start += length + draw(st.integers(1, 2))
+    return IndexSet(dim, tuple(pts))
+
+
+@st.composite
 def seeded_rng(draw):
     return np.random.default_rng(draw(st.integers(0, 2**32 - 1)))

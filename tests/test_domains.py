@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from strategies import index_sets, point_lists, points, run_domains
+from strategies import gapped_run_sets, index_sets, point_lists, points, run_domains
 from gdesprit.domains import (
     IndexSet,
     capacity,
@@ -306,6 +306,30 @@ class TestMinkowskiAndErosion:
                 erode(omega, xi)
         else:
             assert list(erode(omega, xi).points) == ref
+
+    @given(st.sampled_from([1, 3]), st.data())
+    def test_erode_by_gapped_runs_matches_reference(self, dim, data):
+        # several runs per fiber of xi; omega is a sum set with points
+        # toggled, so most erosions are nonempty and none is trivially exact
+        xi = data.draw(gapped_run_sets(dim))
+        a = data.draw(index_sets(dim=dim, max_size=4, lo=-2, hi=2))
+        toggled = data.draw(index_sets(dim=dim, max_size=6, lo=-4, hi=6))
+        pts = set(minkowski_sum(a, xi).points) ^ set(toggled.points) or set(toggled.points)
+        omega = IndexSet(dim, tuple(pts))
+        ref = oracles.erode_ref(omega.points, xi.points)
+        if not ref:
+            with pytest.raises(DecompositionError):
+                erode(omega, xi)
+        else:
+            assert list(erode(omega, xi).points) == ref
+
+    @pytest.mark.parametrize("radius", [3, 7.5, 12])
+    @pytest.mark.parametrize("widths", [(1, 1), (3, 3), (5, 2), (2, 3)])
+    def test_erode_half_disc_by_box_matches_reference(self, radius, widths):
+        omega = make_shape({"kind": "half_disc", "radius": radius})
+        xi = make_box(widths)
+        ref = oracles.erode_ref(omega.points, xi.points)
+        assert ref and list(erode(omega, xi).points) == ref
 
     @given(index_sets(dim=2, max_size=6), index_sets(dim=2, max_size=5))
     def test_erosion_contains_sum_factor(self, a, b):

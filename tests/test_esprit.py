@@ -187,8 +187,8 @@ def model_samples(domain, zetas, rng, noise=0.0):
 
 
 class TestRecoverCoeffs:
-    # the coefficient stage of esprit_nd: normal equations on product sets,
-    # least squares on the node-power matrix everywhere else
+    # the coefficient stage of esprit_nd: normal equations while V^*V is well
+    # conditioned, least squares on the node-power matrix past that
     @given(st.integers(0, 10_000))
     def test_known_nodes_give_exact_coeffs(self, seed):
         model = exact_model(4, 2, seed)
@@ -259,7 +259,9 @@ class TestRecoverCoeffs:
         assert cond == expected_cond
 
     @pytest.mark.parametrize("which", ["box_minus_point", "half_disc"])
-    def test_non_product_sets_take_the_svd_solve(self, gelsd_calls, which):
+    def test_well_conditioned_non_product_sets_skip_the_svd_solve(self, gelsd_calls, which):
+        # the guard's accuracy argument holds on any domain; the product
+        # structure only makes V^*V cheap
         if which == "half_disc":
             domain = make_shape({"kind": "half_disc", "radius": 5})
         else:
@@ -268,7 +270,23 @@ class TestRecoverCoeffs:
         zetas = random_model(5, 2, rng).zetas
         f = model_samples(domain, zetas, rng)
         coeffs, cond = _coefficients(f, zetas)
-        assert gelsd_calls == [(len(domain), 5)]
+        assert gelsd_calls == []
+        V = oracles.vandermonde_ref(domain.points, zetas)
+        expected, _, _, s = np.linalg.lstsq(V, f.values, rcond=None)
+        exponent = np.abs(domain.as_array @ zetas.T).max()
+        bound = 100 * EPS * (s[0] / s[-1]) ** 2 * (1 + exponent)
+        assert np.linalg.norm(coeffs - expected) <= bound * np.linalg.norm(expected)
+        _, expected_cond = lstsq_minimum_norm(vandermonde(domain, zetas), f.values)
+        assert cond == pytest.approx(expected_cond, rel=1e-10)
+
+    def test_guard_sends_a_half_disc_past_it_to_the_svd_solve(self, gelsd_calls):
+        # two nodes 1e-5 apart put cond(V^*V) past the guard on a non-product set too
+        domain = make_shape({"kind": "half_disc", "radius": 5})
+        zetas = np.array([[0.3j, -0.2j], [0.3j + 1e-5j, -0.2j]])
+        f = model_samples(domain, zetas, np.random.default_rng(2))
+        coeffs, cond = _coefficients(f, zetas)
+        assert gelsd_calls == [(len(domain), 2)]
+        assert 1e4 < cond < 1e12
         expected, expected_cond = lstsq_minimum_norm(vandermonde(domain, zetas), f.values)
         np.testing.assert_array_equal(coeffs, expected)
         assert cond == expected_cond
@@ -782,6 +800,12 @@ class TestEspritOptions:
             {"auto_rel_tol": 0.0},
             {"auto_rel_tol": 1.0},
             {"combo_seed": -1},
+            {"combo_seed": 2.5},
+            {"combo_seed": True},
+            {"combo_seed": "1"},
+            {"auto_rel_tol": "x"},
+            {"auto_rel_tol": float("nan")},
+            {"auto_rel_tol": True},
         ],
     )
     def test_invalid_options(self, kwargs):
@@ -792,6 +816,10 @@ class TestEspritOptions:
     def test_model_order_must_be_an_integer(self, order):
         with pytest.raises(DomainError):
             EspritOptions(model_order=order)
+
+    def test_integral_seed_normalised(self):
+        assert type(EspritOptions(combo_seed=np.int64(3)).combo_seed) is int
+        assert EspritOptions(combo_seed=4.0).combo_seed == 4
 
     def test_integral_model_order_normalised(self):
         assert type(EspritOptions(model_order=np.int64(3)).model_order) is int

@@ -251,6 +251,17 @@ class TestRandomModel:
         with pytest.raises(DomainError, match="damping_bound"):
             random_model(3, 2, np.random.default_rng(0), layout="random_complex", damping_bound=bound)
 
+    @pytest.mark.parametrize("K, d", [(2.5, 2), (True, 2), (3, 2.5), (3, False), ("3", 2)])
+    def test_order_and_dimension_must_be_integers(self, K, d):
+        with pytest.raises(DomainError):
+            random_model(K, d, np.random.default_rng(0))
+
+    def test_integral_floats_normalised(self):
+        model = random_model(3.0, 2.0, np.random.default_rng(0))
+        assert (model.order, model.dim) == (3, 2)
+        expected = random_model(3, 2, np.random.default_rng(0))
+        np.testing.assert_array_equal(model.zetas, expected.zetas)
+
     def test_generation_gives_up_on_constant_rng(self):
         class ConstantRng:
             def uniform(self, low=0.0, high=1.0, size=None):
