@@ -25,14 +25,14 @@ differ by an integer multiple of 2*pi*i.
 The coefficients are the least-squares fit of the recovered terms to all
 samples.  On every domain they come from the normal equations while V^*V,
 with V the node-power matrix, stays well conditioned (on a product set
-V^*V is built from per-dimension tables without forming V); otherwise from
+V^*V is built from per-dimension tables without forming V, under the
+exponent guard of ``signal._axis_tables``); otherwise from
 an SVD-based solve on V, where a numerical rank below the model order is a
 :class:`ModelOrderError`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,7 +47,7 @@ from .errors import (
     PairingError,
     RankDeficiencyError,
 )
-from .signal import ExponentialModel, MdSequence, _axis_powers, vandermonde
+from .signal import ExponentialModel, MdSequence, _axis_tables, vandermonde
 
 # Numerical-rank cutoff used when no explicit tolerance is given; suited to
 # noise-free data.
@@ -207,28 +207,26 @@ def _coefficients(f: MdSequence, zetas: np.ndarray) -> tuple[np.ndarray, float]:
 
     The normal equations V^*V c = V^*f are solved while V^*V is finite and
     its condition is at most ``GRAM_COND_LIMIT``; their rounding error grows
-    like eps * cond(V^*V) on any domain.  On a product set (a box, possibly
-    gapped) V is the Khatri-Rao product of the per-dimension tables T_p, so
-    V^*V is the Hadamard product of the T_p^*T_p and V^*f is d contractions
-    of the sample tensor; V is never formed (a non-finite table makes a
-    diagonal entry of V^*V non-finite).  Any other domain forms V once.
-    Past the guard, the SVD-based solve on V takes over, and there a rank
-    below K raises :class:`ModelOrderError`.
+    like eps * cond(V^*V) on any domain.  Where ``signal._axis_tables`` gives
+    the per-axis tables T_p (a product set within the exponent guard), V is
+    their Khatri-Rao product, so V^*V is the Hadamard product of the
+    T_p^*T_p and V^*f is d contractions of the sample tensor; V is not
+    formed.  Any other domain forms V once.  Past the guard, the SVD-based
+    solve on V takes over, and there a rank below K raises
+    :class:`ModelOrderError`.
     """
     K = zetas.shape[0]
-    axes = f.domain.axes
-    shape = [len(values) for values, _ in axes]
+    tables = _axis_tables(f.domain, zetas)
     V = None
-    if len(f.domain) == math.prod(shape):
+    if tables is not None:
         with np.errstate(over="ignore", invalid="ignore"):
-            tables = [_axis_powers(values, zetas[:, p]) for p, (values, _) in enumerate(axes)]
             gram = np.ones((K, K), dtype=np.complex128)
             for T in tables:
                 gram *= T.conj().T @ T
             # canonical order is first coordinate fastest
-            rhs = f.values.reshape(-1, shape[0]) @ tables[0].conj()
-            for T, n in zip(tables[1:], shape[1:]):
-                rhs = (rhs.reshape(-1, n, K) * T.conj()).sum(axis=1)
+            rhs = f.values.reshape(-1, len(tables[0])) @ tables[0].conj()
+            for T in tables[1:]:
+                rhs = (rhs.reshape(-1, len(T), K) * T.conj()).sum(axis=1)
             rhs = rhs[0]
     else:
         V = vandermonde(f.domain, zetas)

@@ -1,7 +1,16 @@
-"""Exponential-sum models and sampled sequences on lattice domains."""
+"""Exponential-sum models and sampled sequences on lattice domains.
+
+On a product-set domain (a box, gaps allowed) the node-power matrix
+V[x, k] = exp(<x, zeta_k>) is the Khatri-Rao product of one table per axis.
+One rule, :func:`_axis_tables`, decides when those tables stand in for V: a
+product set whose summed per-axis exponent bound is within
+``AXIS_EXPONENT_LIMIT``.  Model evaluation and the estimator's coefficient
+fit both follow it, and form V only where it refuses.
+"""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -18,6 +27,11 @@ NODE_COLLISION_TOL = 1e-6
 COLLISION_RETRIES = 100
 
 _LAYOUTS = ("uniform_imag", "spiral", "random_complex")
+
+# Largest sum_p max |x_p Re zeta_kp| at which a product set uses its per-axis
+# tables.  The tables' Gram matrix multiplies two entries per axis, so its
+# partial products stay within exp(+-700), inside the float64 range.
+AXIS_EXPONENT_LIMIT = 350.0
 
 
 @dataclass(frozen=True)
@@ -97,12 +111,7 @@ class MdSequence:
 
 def _axis_powers(values: np.ndarray, z: np.ndarray) -> np.ndarray:
     """exp(v z_k) for every axis value v and frequency z_k, shape (len(values), K),
-    from one cos, one sin and one real exp table.
-
-    On a product set the Vandermonde matrix is the Khatri-Rao product of
-    these per-dimension tables.  Each factor overflows on its own, so a
-    table can be non-finite where the full product is not.
-    """
+    from one cos, one sin and one real exp table."""
     v = values.astype(np.float64)
     angle = np.multiply.outer(v, z.imag)
     table = np.empty(angle.shape, dtype=np.complex128)
@@ -114,11 +123,37 @@ def _axis_powers(values: np.ndarray, z: np.ndarray) -> np.ndarray:
     return table
 
 
+def _axis_tables(domain: IndexSet, zetas: np.ndarray) -> list[np.ndarray] | None:
+    """The per-axis tables T_p = exp(v zeta_kp) over axis p's distinct values
+    v, or None where the node-power matrix must be formed instead.
+
+    On a product set (``len(domain) == prod(len(values_p))``) row x of
+    ``vandermonde(domain, zetas)`` is the elementwise product of the rows
+    T_p[x_p], so V is the Khatri-Rao product of the tables in canonical
+    order (first coordinate fastest).  None on any other domain, and where
+    sum_p max |x_p Re zeta_kp| exceeds ``AXIS_EXPONENT_LIMIT``: there one
+    table can overflow or underflow while V itself is representable.
+    """
+    axes = domain.axes
+    if len(domain) != math.prod(len(values) for values, _ in axes):
+        return None
+    bound = sum(
+        float(np.abs(values[[0, -1]]).max()) * float(np.abs(zetas[:, p].real).max())
+        for p, (values, _) in enumerate(axes)
+    )
+    if not bound <= AXIS_EXPONENT_LIMIT:
+        return None
+    return [_axis_powers(values, zetas[:, p]) for p, (values, _) in enumerate(axes)]
+
+
 def vandermonde(domain: IndexSet, zetas: np.ndarray) -> np.ndarray:
     """Matrix of node powers exp(<j, zeta_k>) over the domain's canonical order.
 
     Shape (len(domain), K).  Column k evaluates term k at every lattice point,
     which for integer points equals the multi-index power of the node vector.
+    The package forms it only where :func:`_axis_tables` refuses (a domain
+    that is not a product set, or past the exponent guard) and for the
+    estimator's SVD-based coefficient fallback.
 
     The phase is a product of one unit-modulus factor per dimension,
     exp(i x_p Im zeta_p), gathered by coordinate rank from a cos/sin table
@@ -148,13 +183,24 @@ def vandermonde(domain: IndexSet, zetas: np.ndarray) -> np.ndarray:
 def eval_model(model: ExponentialModel, omega: IndexSet) -> MdSequence:
     """Evaluate the model on every point of ``omega``.
 
-    Values that overflow raise :class:`NonFiniteError` from
-    :class:`MdSequence`.
+    Where :func:`_axis_tables` gives the per-axis tables, the values are one
+    Khatri-Rao contraction of them with the coefficients, last axis first,
+    at O(nK) time and O(nK / n_1) memory; V is never formed.  Elsewhere they
+    are ``vandermonde(omega, zetas) @ coeffs``.  Values that overflow raise
+    :class:`NonFiniteError` from :class:`MdSequence`.
     """
     if omega.dim != model.dim:
         raise DomainError(f"dimension mismatch: domain {omega.dim}, model {model.dim}")
     with np.errstate(over="ignore", invalid="ignore"):
-        values = vandermonde(omega, model.zetas) @ model.coeffs
+        tables = _axis_tables(omega, model.zetas)
+        if tables is None:
+            values = vandermonde(omega, model.zetas) @ model.coeffs
+        else:
+            # rows of acc run over the axes already contracted, the newest fastest
+            acc = model.coeffs[None, :]
+            for T in tables[:0:-1]:
+                acc = (acc[:, None, :] * T).reshape(-1, model.order)
+            values = (acc @ tables[0].T).ravel()
     return MdSequence(omega, values)
 
 
@@ -201,6 +247,9 @@ def random_model(
     * ``random_complex``: real part uniform in [-damping_bound, damping_bound],
       imaginary part uniform on (-pi, pi).
 
+    A nonzero ``damping_bound`` with either undamped layout is a
+    :class:`DomainError`.
+
     Coefficients have modulus uniform in [0.5, 1.5] and uniform phase.
     Colliding node vectors (closer than ``NODE_COLLISION_TOL``) are redrawn
     up to ``COLLISION_RETRIES`` times, then :class:`GenerationError`.
@@ -215,6 +264,11 @@ def random_model(
         raise DomainError(f"unknown layout {layout!r}; expected one of {_LAYOUTS}")
     if _number(damping_bound, "damping_bound") < 0:
         raise DomainError(f"damping_bound must be nonnegative, got {damping_bound}")
+    if damping_bound and layout != "random_complex":
+        raise DomainError(
+            f"the {layout} layout is undamped and takes no damping_bound, got {damping_bound}; "
+            "use the random_complex layout"
+        )
     if layout == "spiral":
         if d != 2:
             raise DomainError("the spiral layout is only defined for d=2")

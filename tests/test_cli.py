@@ -155,6 +155,18 @@ class TestSynth:
         assert capsys.readouterr().err.startswith("error: damping_bound must be nonnegative")
         assert not out.exists()
 
+    @pytest.mark.parametrize("layout", [None, "uniform_imag", "spiral"])
+    def test_damping_bound_on_undamped_layout_is_a_usage_error(self, tmp_path, capsys, layout):
+        out = tmp_path / "u.json"
+        args = ["synth", "--grid", "box:5,5", "--order", "3", "--damping-bound", "0.5"]
+        if layout is not None:
+            args += ["--layout", layout]
+        code = run_cli(*args, "--seed", "1", "--out", str(out))
+        name = layout or "uniform_imag"
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: the {name} layout is undamped")
+        assert not out.exists()
+
 
 class TestEstimate:
     def test_round_trip_recovers_model(self, tmp_path, capsys):

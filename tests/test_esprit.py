@@ -223,12 +223,13 @@ class TestRecoverCoeffs:
         assert np.linalg.norm(coeffs - expected) <= bound * np.linalg.norm(expected)
         assert abs(cond - s[0] / s[-1]) <= bound * cond
 
-    def test_well_conditioned_box_skips_the_svd_solve(self, gelsd_calls):
+    def test_well_conditioned_box_skips_the_svd_solve(self, gelsd_calls, vandermonde_calls):
         rng = np.random.default_rng(5)
         domain = make_box((6, 5, 4), offset=(-3, 0, 2))
         zetas = random_model(6, 3, rng, "random_complex", 0.3).zetas
         f = model_samples(domain, zetas, rng)
         coeffs, cond = _coefficients(f, zetas)
+        assert vandermonde_calls == []  # V^*V and V^*f come from the per-axis tables
         expected, expected_cond = lstsq_minimum_norm(vandermonde(domain, zetas), f.values)
         np.testing.assert_allclose(coeffs, expected, rtol=1e-12)
         assert cond == pytest.approx(expected_cond, rel=1e-10)
@@ -291,16 +292,20 @@ class TestRecoverCoeffs:
         np.testing.assert_array_equal(coeffs, expected)
         assert cond == expected_cond
 
-    def test_one_overflowing_axis_table_falls_back(self, gelsd_calls):
+    def test_one_overflowing_axis_table_takes_the_vandermonde_route(
+        self, gelsd_calls, vandermonde_calls
+    ):
         # exp(800 zeta_1) overflows in the first axis table, but every
-        # point's full exponent has real part near 10: V itself is finite
+        # point's full exponent has real part near 10: the exponent guard
+        # refuses the tables, and V itself is finite and well conditioned
         domain = IndexSet(2, [(799, -791), (800, -791), (799, -790), (800, -790)])
         zetas = np.array([[1 + 0.3j, 1 + 0.1j], [1 + 1.3j, 1 - 0.7j]])
         f = MdSequence(domain, oracles.vandermonde_ref(domain.points, zetas) @ [1.0, 2.0j])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             coeffs, cond = _coefficients(f, zetas)
-        assert len(gelsd_calls) == 1
+        assert vandermonde_calls == [(4, 2)]
+        assert gelsd_calls == []
         assert np.isfinite(cond)
         np.testing.assert_allclose(coeffs, [1.0, 2.0j], rtol=1e-10)
 

@@ -232,6 +232,15 @@ class TestRunExperiment:
             run_experiment(spec)
         assert not (tmp_path / "unit.csv").exists()
 
+    def test_damping_bound_on_undamped_layout_writes_nothing(self, tmp_path):
+        spec = dataclasses.replace(
+            small_spec(output=str(tmp_path)),
+            model=ModelRecipe(layout="uniform_imag", K=3, d=2, seed=7, damping_bound=0.5),
+        )
+        with pytest.raises(DomainError, match="the uniform_imag layout is undamped"):
+            run_experiment(spec)
+        assert not (tmp_path / "unit.csv").exists()
+
     def test_parallel_run_matches_serial(self):
         spec = small_spec(trials=4)
         serial = run_experiment(spec, jobs=1)

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from strategies import gapped_index_sets, index_sets
-from gdesprit.domains import IndexSet, make_box
+from strategies import gapped_index_sets, gapped_product_sets, index_sets
+from gdesprit.domains import IndexSet, make_box, make_shape
 from gdesprit.errors import DomainError, GenerationError, NonFiniteError
 from gdesprit.signal import (
     NODE_COLLISION_TOL,
@@ -17,11 +20,23 @@ from gdesprit.signal import (
     MdSequence,
     add_noise,
     eval_model,
+    _axis_tables,
     random_model,
     vandermonde,
 )
 
 EPS = np.finfo(np.float64).eps
+
+
+def assert_matches_eval_ref(model, omega):
+    # Each term is good to a few ulp of its exponent sum_p |x_p zeta_kp| on
+    # both sides, and the sum over K terms adds K ulp of sum_k |c_k V_xk|.
+    got = eval_model(model, omega).values
+    expected = oracles.eval_ref(model.zetas, model.coeffs, omega.points)
+    V = np.abs(oracles.vandermonde_ref(omega.points, model.zetas))
+    scale = np.abs(omega.as_array.astype(np.float64)) @ np.abs(model.zetas).T
+    tol = (8 * (omega.dim + model.order) * EPS * (1 + scale) * V) @ np.abs(model.coeffs)
+    assert np.all(np.abs(got - expected) <= tol)
 
 
 def small_model(dim=2, K=3, seed=7, damping=0.2):
@@ -168,6 +183,79 @@ class TestVandermondeAndEval:
             eval_model(model, make_box((20,)))
 
 
+class TestFactorisedEvaluation:
+    # product sets are evaluated from per-axis tables, every other domain
+    # and the guard cases through the node-power matrix
+
+    @pytest.mark.parametrize(
+        "omega",
+        [
+            make_box((9,), offset=(-4,)),
+            make_box((5, 4), offset=(3, -7)),
+            make_box((4, 3, 5), offset=(-2, 6, 1)),
+            IndexSet(2, [(x, y) for x in (0, 2, 5) for y in (1, 3)]),
+        ],
+        ids=["d1", "d2", "d3", "gapped"],
+    )
+    def test_product_sets_never_form_v(self, vandermonde_calls, omega):
+        model = random_model(5, omega.dim, np.random.default_rng(4), "random_complex", 0.4)
+        assert_matches_eval_ref(model, omega)
+        assert vandermonde_calls == []
+
+    @given(gapped_product_sets(), st.integers(0, 10_000), st.floats(0.0, 0.3))
+    def test_gapped_product_sets_match_oracle(self, omega, seed, damping):
+        rng = np.random.default_rng(seed)
+        K = int(rng.integers(1, 7))
+        model = random_model(K, omega.dim, rng, "random_complex", damping)
+        assert _axis_tables(omega, model.zetas) is not None
+        assert_matches_eval_ref(model, omega)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [{"kind": "half_disc", "radius": 5}, {"kind": "triangle", "side": 6}],
+        ids=["half_disc", "triangle"],
+    )
+    def test_non_product_sets_form_v(self, vandermonde_calls, spec):
+        omega = make_shape(spec)
+        model = random_model(6, 2, np.random.default_rng(8), "random_complex", 0.3)
+        assert _axis_tables(omega, model.zetas) is None
+        assert_matches_eval_ref(model, omega)
+        assert vandermonde_calls == [(len(omega), 6)]
+
+    @pytest.mark.parametrize(
+        "axes, re_zeta",
+        [
+            # exp(800) overflows in the first table; full real exponents 8..10
+            (((799, 800), (-791, -790)), (1.0, 1.0)),
+            # exp(-720) is subnormal in the first table; full real exponents -20..-19
+            (((720, 721), (700, 701)), (-1.0, 1.0)),
+            # every table is finite, but the exponent bound 200 + 102 + 101 is
+            # past the guard; full real exponents 0..4
+            (((-200, -199), (50, 51), (100, 101)), (1.0, 2.0, 1.0)),
+        ],
+        ids=["overflow", "underflow", "past_guard"],
+    )
+    def test_guard_cases_form_v(self, vandermonde_calls, axes, re_zeta):
+        omega = IndexSet(len(axes), list(itertools.product(*axes)))
+        im = np.array([[0.3, -1.1, 0.7], [1.3, 0.2, -2.5]])[:, : len(axes)]
+        model = ExponentialModel(len(axes), np.asarray(re_zeta) + 1j * im, [1.0, 2.0j])
+        assert _axis_tables(omega, model.zetas) is None
+        assert_matches_eval_ref(model, omega)
+        assert vandermonde_calls == [(len(omega), 2)]
+
+    def test_fig4_size_evaluation_memory(self):
+        # 21^3 points and K=900: the node-power matrix alone would be 133 MB
+        omega = make_box((21, 21, 21))
+        model = random_model(900, 3, np.random.default_rng(105))
+        tracemalloc.start()
+        try:
+            eval_model(model, omega)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16e6
+
+
 class TestAddNoise:
     @given(st.integers(0, 10_000), st.sampled_from([1.0, 10 ** -0.5, 1e-1, 1e-2, 1e-3, 1e-4, 1e-6]))
     def test_exact_energy_ratio(self, seed, ratio):
@@ -250,6 +338,11 @@ class TestRandomModel:
     def test_bad_damping_bound(self, bound):
         with pytest.raises(DomainError, match="damping_bound"):
             random_model(3, 2, np.random.default_rng(0), layout="random_complex", damping_bound=bound)
+
+    @pytest.mark.parametrize("layout", ["uniform_imag", "spiral"])
+    def test_damping_bound_needs_the_random_complex_layout(self, layout):
+        with pytest.raises(DomainError, match=f"the {layout} layout is undamped"):
+            random_model(3, 2, np.random.default_rng(0), layout=layout, damping_bound=0.5)
 
     @pytest.mark.parametrize("K, d", [(2.5, 2), (True, 2), (3, 2.5), (3, False), ("3", 2)])
     def test_order_and_dimension_must_be_integers(self, K, d):
