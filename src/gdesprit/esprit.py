@@ -11,12 +11,9 @@ singular vectors are orthonormal, so that least-squares problem reduces
 convex-fiber row grids.  All A_p are put into a single eigenbasis computed
 from a seeded random unit-modulus combination of them, which pairs the
 per-dimension coordinates row by row and survives repeated eigenvalues in
-any single A_p.  Two input adapters feed it:
-
-* :func:`esprit_1d` takes a plain sample vector (a 1-d box of rows and one
-  of columns).
-* :func:`esprit_block` takes a d-dimensional sample tensor over an odd cube
-  (the same N-cube as row and column grid).
+any single A_p.  :func:`esprit_block` is its front-end for a sample tensor
+on a box, with the near-square row and column boxes chosen from the shape;
+:func:`esprit_1d` is that front-end's one-dimensional call.
 
 Frequencies are principal logarithms of the recovered nodes, so imaginary
 parts lie in (-pi, pi]; integer sampling cannot tell frequencies apart that
@@ -390,45 +387,27 @@ def esprit_nd(
 
 
 def esprit_1d(samples: np.ndarray, model_order: int) -> np.ndarray:
-    """Recover 1-d frequencies from consecutive samples.
-
-    The samples are interpreted as f at 2N-1 (or 2N) consecutive integers
-    and passed to :func:`esprit_nd` with a row box of N = ceil((len+1)/2)
-    points and a column box covering the rest, which forms a near-square
-    Hankel matrix.  Returns ``model_order`` frequencies (complex, imaginary
-    part in (-pi, pi]).
-    """
-    arr = np.asarray(samples, dtype=np.complex128).ravel()
-    if arr.size < 3:
-        raise DomainError(f"need at least 3 samples, got {arr.size}")
-    n_rows = (arr.size + 1) // 2
-    report = esprit_nd(
-        MdSequence(make_box((arr.size,)), arr),
-        make_box((n_rows,)),
-        make_box((arr.size - n_rows + 1,)),
-        EspritOptions(model_order=model_order),
-    )
+    """Recover ``model_order`` 1-d frequencies (complex, imaginary part in
+    (-pi, pi]) from samples at consecutive integers: the one-dimensional
+    call of :func:`esprit_block`."""
+    report = esprit_block(np.ravel(samples), EspritOptions(model_order=model_order))
     return report.model.zetas[:, 0]
 
 
 def esprit_block(samples: np.ndarray, options: EspritOptions | None = None) -> EstimationReport:
-    """Cube-grid frequency estimation on a d-dimensional sample tensor.
+    """Box-grid frequency estimation on a d-dimensional sample tensor.
 
-    ``samples`` must be a tensor of odd side 2N-1 in every dimension, holding
-    f on consecutive integers (axis p is coordinate p).  The tensor is
-    flattened in the canonical order (first axis fastest) and passed to
-    :func:`esprit_nd` with the N-cube as both row and column grid, so the
-    dimensions are paired through the same random combination.
+    ``samples`` holds f on consecutive integers (axis p is coordinate p), at
+    least 3 along every axis.  The tensor is flattened in the canonical order
+    (first axis fastest) and passed to :func:`esprit_nd` with a row box of
+    ceil((n_p+1)/2) points along axis p and a column box of the remaining
+    n_p - rows + 1, which keeps the sample matrix as square as the box allows
+    (Hua & Sarkar's pencil parameter); on a (2N-1)^d cube both are the N-cube.
     """
     arr = np.asarray(samples, dtype=np.complex128)
-    d = arr.ndim
-    if d < 1 or arr.size == 0:
-        raise DomainError("samples must be a nonempty tensor")
-    side = arr.shape[0]
-    if any(s != side for s in arr.shape):
-        raise DomainError(f"sample tensor must be a cube, got shape {arr.shape}")
-    if side < 3 or side % 2 == 0:
-        raise DomainError(f"cube side must be odd and at least 3, got {side}")
-    grid = make_box(((side + 1) // 2,) * d)
+    if arr.ndim < 1 or min(arr.shape) < 3:
+        raise DomainError(f"need at least 3 samples along every axis, got shape {arr.shape}")
+    rows = tuple((n + 1) // 2 for n in arr.shape)
+    cols = tuple(n - r + 1 for n, r in zip(arr.shape, rows))
     f = MdSequence(make_box(arr.shape), arr.ravel(order="F"))
-    return esprit_nd(f, grid, grid, options)
+    return esprit_nd(f, make_box(rows), make_box(cols), options)

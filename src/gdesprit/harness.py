@@ -79,6 +79,8 @@ class ExperimentSpec:
         if self.trials < 1:
             raise DomainError(f"trials must be at least 1, got {self.trials}")
         ratios = tuple(_number(r, "a noise ratio") for r in self.noise_ratios)
+        if not ratios:
+            raise DomainError("the noise ladder needs at least one ratio")
         if any(r < 0 for r in ratios):
             raise DomainError(f"noise ratios must be nonnegative, got {ratios}")
         object.__setattr__(self, "noise_ratios", ratios)
@@ -210,6 +212,9 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> list[TrialResult]:
     order.  When the spec names an output path, a CSV table and a JSON
     summary are written under it; reruns produce identical bytes.
     """
+    jobs = _number(jobs, "jobs", integral=True)
+    if jobs < 1:
+        raise DomainError(f"jobs must be at least 1, got {jobs}")
     xi, upsilon, omega = resolve_grids(spec)
     trials = range(spec.trials)
     if jobs > 1:

@@ -1,7 +1,10 @@
 """Thin numerical backend: SVD, eigendecomposition, least squares.
 
-Keeps the algorithm modules free of direct solver calls so backend choices
-stay in one place.  Conventions: a singular value decomposition returns the
+Holds the estimator's large or general solves: the sample-matrix SVD, the
+non-Hermitian eigendecomposition and the ``gelsd`` coefficient fallback.
+The small Hermitian systems (the fiber solve and the normal equations) call
+``np.linalg.eigh``, ``eigvalsh`` and ``solve`` in :mod:`gdesprit.esprit`
+directly.  Conventions: a singular value decomposition returns the
 left singular vectors U and the singular values of H only, since the
 estimator never reads the right singular vectors; an eigendecomposition is
 A = B^{-1} diag(lambda) B.

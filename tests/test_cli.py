@@ -472,6 +472,22 @@ class TestExperiment:
         assert capsys.readouterr().err.startswith("error: a noise ratio must be a finite number")
         assert not (out_dir / "cli_exp.csv").exists()
 
+    def test_empty_noise_ladder_is_an_input_error(self, tmp_path, capsys):
+        spec_path = self._spec_file(tmp_path, lambda d: d.update(noise_ratios=[]))
+        out_dir = tmp_path / "results"
+        code = run_cli("experiment", str(spec_path), "--out", str(out_dir))
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: the noise ladder needs at least one ratio")
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_is_an_input_error(self, tmp_path, capsys, jobs):
+        out_dir = tmp_path / "results"
+        code = run_cli("experiment", "--scenario", "fig1_small", "--out", str(out_dir), "--jobs", jobs)
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: jobs must be at least 1, got {jobs}")
+        assert not out_dir.exists()
+
     def test_name_cannot_leave_the_output_directory(self, tmp_path, capsys):
         base = tmp_path / "a" / "b"
         base.mkdir(parents=True)

@@ -1,4 +1,4 @@
-"""Subspace estimators: 1-d, cube tensor, and general-domain paths."""
+"""Subspace estimators: 1-d, box tensor, and general-domain paths."""
 
 from __future__ import annotations
 
@@ -697,22 +697,47 @@ class TestEspritBlock:
         err = match_frequencies(block.model.nodes, general.model.nodes).lambda_errors.max()
         assert err < 1e-12
 
+    # (sample shape, row box, column box, terms): odd, even and non-cube
+    # sides in d = 1, 2, 3, with at most the row box's capacity of terms
+    BOX_CASES = [
+        ((3,), (2,), (2,), 1),
+        ((4,), (2,), (3,), 1),
+        ((5,), (3,), (3,), 2),
+        ((6,), (3,), (4,), 2),
+        ((5, 5), (3, 3), (3, 3), 2),
+        ((4, 4), (2, 2), (3, 3), 2),
+        ((5, 9), (3, 5), (3, 5), 2),
+        ((6, 3), (3, 2), (4, 2), 2),
+        ((3, 3, 3), (2, 2, 2), (2, 2, 2), 2),
+        ((4, 3, 6), (2, 2, 3), (3, 2, 4), 2),
+    ]
+
     @pytest.mark.parametrize("order", [2, None])
     def test_block_report_equals_general_report(self, order):
-        model = exact_model(2, 2, 9)
-        f = eval_model(model, make_box((5, 5)))
-        tensor = f.values.reshape(5, 5, order="F")
-        opts = EspritOptions(model_order=order, combo_seed=4)
-        block = esprit_block(tensor, opts)
-        box = make_box((3, 3))
-        general = esprit_nd(f, box, box, opts)
-        np.testing.assert_array_equal(block.model.zetas, general.model.zetas)
-        np.testing.assert_array_equal(block.model.coeffs, general.model.coeffs)
-        np.testing.assert_array_equal(block.singular_values, general.singular_values)
-        np.testing.assert_array_equal(block.pairing_residuals, general.pairing_residuals)
-        np.testing.assert_array_equal(block.combo_used, general.combo_used)
-        assert block.coeff_condition == general.coeff_condition
-        assert block.warnings == general.warnings
+        # a fixed order (capped at the terms present) or automatic selection
+        for shape, rows, cols, K in self.BOX_CASES:
+            model = exact_model(K, len(shape), 9)
+            f = eval_model(model, make_box(shape))
+            tensor = f.values.reshape(shape, order="F")
+            opts = EspritOptions(model_order=order and K, combo_seed=4)
+            block = esprit_block(tensor, opts)
+            general = esprit_nd(f, make_box(rows), make_box(cols), opts)
+            np.testing.assert_array_equal(block.model.zetas, general.model.zetas)
+            np.testing.assert_array_equal(block.model.coeffs, general.model.coeffs)
+            np.testing.assert_array_equal(block.singular_values, general.singular_values)
+            np.testing.assert_array_equal(block.pairing_residuals, general.pairing_residuals)
+            np.testing.assert_array_equal(block.combo_used, general.combo_used)
+            assert block.coeff_condition == general.coeff_condition
+            assert block.unused_samples == general.unused_samples
+            assert block.warnings == general.warnings
+            if len(shape) == 1:
+                fixed = esprit_block(tensor, EspritOptions(model_order=K))
+                np.testing.assert_array_equal(esprit_1d(f.values, K), fixed.model.zetas[:, 0])
+        # exact recovery on a non-cube box: 6 x 9 x 4 samples, capacity 18
+        model = exact_model(8, 3, 21)
+        tensor = eval_model(model, make_box((6, 9, 4))).values.reshape(6, 9, 4, order="F")
+        report = esprit_block(tensor, EspritOptions(model_order=order and 8))
+        assert match_frequencies(model.nodes, report.model.nodes).lambda_errors.max() < 1e-9
 
     def test_repeated_first_coordinate(self):
         # two terms share their first node coordinate, so A_1 alone has a
@@ -730,17 +755,13 @@ class TestEspritBlock:
         report = esprit_block(tensor)
         assert report.model.order == 3
 
-    def test_rejects_non_cube(self):
-        with pytest.raises(DomainError):
-            esprit_block(np.ones((5, 7)))
-
-    def test_rejects_even_side(self):
-        with pytest.raises(DomainError):
-            esprit_block(np.ones((4, 4)))
-
     def test_rejects_tiny_side(self):
+        # every axis needs 3 samples, whatever the others hold
+        for shape in [(1, 1), (2,), (2, 5), (5, 2), (3, 3, 1), (4, 2, 6), (0, 3)]:
+            with pytest.raises(DomainError):
+                esprit_block(np.ones(shape))
         with pytest.raises(DomainError):
-            esprit_block(np.ones((1, 1)))
+            esprit_block(np.complex128(1.0))
 
     def test_capacity_error(self):
         tensor = np.ones((5, 5), dtype=complex)

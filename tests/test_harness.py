@@ -154,7 +154,7 @@ class TestExperimentSpec:
     def test_validates_trials_and_ratios(self):
         with pytest.raises(DomainError):
             small_spec(trials=0)
-        for ratios in [(0.0, -1e-3), (float("nan"), 1e-3), (float("inf"),), (True,)]:
+        for ratios in [(0.0, -1e-3), (float("nan"), 1e-3), (float("inf"),), (True,), ()]:
             with pytest.raises(DomainError):
                 small_spec(noise_ratios=ratios)
 
@@ -240,6 +240,12 @@ class TestRunExperiment:
         with pytest.raises(DomainError, match="the uniform_imag layout is undamped"):
             run_experiment(spec)
         assert not (tmp_path / "unit.csv").exists()
+
+    @pytest.mark.parametrize("jobs", [0, 2.5])
+    def test_jobs_must_be_a_positive_integer(self, tmp_path, jobs):
+        with pytest.raises(DomainError, match="jobs must be"):
+            run_experiment(small_spec(output=str(tmp_path)), jobs=jobs)
+        assert list(tmp_path.iterdir()) == []
 
     def test_parallel_run_matches_serial(self):
         spec = small_spec(trials=4)
@@ -488,6 +494,7 @@ class TestSpecSerialization:
             lambda d: d.update(name="../../escape"),
             lambda d: d.update(name="sub/unit"),
             lambda d: d.update(name="sub\\unit"),
+            lambda d: d.update(noise_ratios=[]),
         ],
     )
     def test_malformed_input(self, mutate):
