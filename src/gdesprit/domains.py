@@ -8,9 +8,11 @@ vectorization m1 + m2*N + m3*N**2 + ..., on which every structured matrix is
 built.  It is the only stored form; ``points``, the same set as int tuples,
 is built on first read.  Dimensions count from 1.
 
-Every point lookup is :meth:`IndexSet.locate`: a binary search per dimension
-ranks the query coordinates, and one among the points' keys gives the
-position.  Nothing is sized by box volume, and every set can be looked up.
+:meth:`IndexSet.locate` ranks query coordinates by a binary search per
+dimension, and one among the points' keys gives the position; the sums of two
+sets rank only their small per-dimension tables of axis sums (``locate_sums``,
+:func:`minkowski_sum`).  Nothing is sized by box volume, and every set can be
+looked up.
 
 Coordinate sums (boxes, translation, Minkowski sum, erosion, structured matrices) are
 int64 array arithmetic; each is first checked on the bounding boxes, and a sum
@@ -52,7 +54,7 @@ def _coords(raw, dim: int) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[1] != dim:
         raise DomainError(f"points of shape {arr.shape} do not have dimension {dim}")
     whole = arr.dtype.kind in "fu" and np.all((arr == np.floor(arr)) & (np.abs(arr) < 2.0**63))
-    if not (arr.dtype.kind in "bi" or whole):
+    if not (arr.dtype.kind == "i" or whole):
         raise DomainError(f"coordinates must be integers within int64, got {arr.dtype} values")
     return arr.astype(np.int64, copy=False)
 
@@ -65,6 +67,31 @@ def _check_sums(*boxes) -> None:
         total = [sum(map(int, c)) for c in zip(*bounds)]
         if not all(_INT64.min <= t <= _INT64.max for t in total):
             raise DomainError(f"coordinate sums reach {total}, beyond int64")
+
+
+def _key_levels(axes):
+    """From ``(values, rank)`` per dimension: the sorted prefix keys to squeeze
+    the running key to first (None while it fits in int64), the values and the
+    key stride; then the keys, which sort as the points do in canonical order."""
+    levels, key, count = [], 0, 1
+    for axis, rank in axes:
+        squeeze = None
+        if count * len(axis) > _INT64.max:
+            squeeze, key = np.unique(key, return_inverse=True)
+            count = len(squeeze)
+        levels.append((squeeze, axis, count))
+        key, count = key + rank * count, count * len(axis)
+    return levels, key
+
+
+def _pair_terms(table: np.ndarray, ar: np.ndarray, br: np.ndarray):
+    """``table[ar[i], br[j]]`` for every pair (i, j) as two terms that add by
+    broadcasting: a column and a row vector where the table is affine,
+    alpha_i + beta_j (boxes, half-discs, triangles), else the gather and 0."""
+    alpha, beta = table[:, :1], table[:1] - table[0, 0]
+    if np.array_equal(table, alpha + beta):
+        return alpha[ar], beta[:, br]
+    return table[ar[:, None], br], 0
 
 
 def _search(values: np.ndarray, query, found):
@@ -112,18 +139,8 @@ class IndexSet:
 
     @cached_property
     def _levels(self) -> tuple[list[tuple[np.ndarray | None, np.ndarray, int]], np.ndarray]:
-        """The lookup tables: per dimension, the sorted prefix keys to squeeze
-        the running key to first (None while it fits in int64), the distinct
-        values and the key stride; then the points' keys, in canonical order."""
-        levels, key, count = [], 0, 1
-        for axis, rank in self.axes:
-            squeeze = None
-            if count * len(axis) > _INT64.max:
-                squeeze, key = np.unique(key, return_inverse=True)
-                count = len(squeeze)
-            levels.append((squeeze, axis, count))
-            key, count = key + rank * count, count * len(axis)
-        return levels, key
+        """The lookup tables of :func:`_key_levels` and the points' keys."""
+        return _key_levels(self.axes)
 
     def locate(self, coords: Iterable[np.ndarray]) -> np.ndarray:
         """Positions of query points in the canonical order, -1 where absent.
@@ -144,6 +161,31 @@ class IndexSet:
             raise DomainError(f"need {self.dim} coordinate arrays of one shape: {exc}") from exc
         pos, found = _search(keys, key, found)
         return np.where(found, pos, -1)
+
+    def locate_sums(self, a: IndexSet, b: IndexSet) -> np.ndarray:
+        """Positions of the sums ``a[i] + b[j]`` as a ``(len(a), len(b))``
+        array, -1 where absent; the caller checks that they fit in int64.
+        Each dimension's small table of axis sums is ranked once and spread
+        to the pairs by :func:`_pair_terms`; no coordinate is searched per pair.
+        """
+        levels, keys = self._levels
+        key, rows, cols, found = 0, 0, 0, True
+        for (squeeze, axis, stride), (av, ar), (bv, br) in zip(levels, a.axes, b.axes, strict=True):
+            if squeeze is not None:
+                key, found = _search(squeeze, key + rows + cols, found)
+                rows = cols = 0
+            rank, hit = _search(axis, av[:, None] + bv, True)
+            r, c = _pair_terms(rank, ar, br)
+            rows, cols = rows + r * stride, cols + c * stride
+            if not hit.all():
+                found = found & hit[ar[:, None], br]
+        key = key + rows + cols
+        if keys[-1] == len(keys) - 1:  # the keys are 0..n-1, as on a box
+            pos, found = key, found & (key < len(keys))
+        else:
+            pos, found = _search(keys, key, found)
+        np.copyto(pos, -1, where=~found)  # pos is a fresh array, and found an array
+        return pos
 
     def __len__(self) -> int:
         return len(self.as_array)
@@ -241,6 +283,8 @@ def make_shape(spec: Mapping) -> IndexSet:
         pts = spec.get("points")
         if not isinstance(pts, (list, tuple)) or not pts:
             raise DomainError("mask descriptor needs a nonempty point list")
+        if any(isinstance(c, bool) for p in pts for c in (p if isinstance(p, (list, tuple)) else [p])):
+            raise DomainError("mask coordinates must be integers, got a boolean")
         grid = IndexSet(len(pts[0]) if isinstance(pts[0], (list, tuple)) else 1, pts)
     else:
         raise DomainError(f"unknown grid kind {kind!r}")
@@ -251,12 +295,27 @@ def make_shape(spec: Mapping) -> IndexSet:
 
 
 def minkowski_sum(a: IndexSet, b: IndexSet) -> IndexSet:
-    """Pointwise sum set {x + y : x in a, y in b}."""
+    """Pointwise sum set {x + y : x in a, y in b}: each pair is keyed by its
+    ranks among the distinct values of each dimension's table of axis sums,
+    and the distinct keys, decoded, are the sums in canonical order."""
     if a.dim != b.dim:
         raise DomainError(f"dimension mismatch: {a.dim} vs {b.dim}")
     _check_sums(a.bounding_box, b.bounding_box)
-    sums = a.as_array[:, None, :] + b.as_array[None, :, :]
-    return IndexSet(a.dim, sums.reshape(-1, a.dim))
+    def ranks():
+        for (av, ar), (bv, br) in zip(a.axes, b.axes):
+            values, rank = np.unique(av[:, None] + bv, return_inverse=True)
+            r, c = _pair_terms(rank.reshape(len(av), len(bv)), ar, br)
+            yield values, (r + c).ravel()
+
+    levels, key = _key_levels(ranks())
+    key = np.sort(key)
+    key, coords = key[np.r_[True, key[1:] != key[:-1]]], []
+    for squeeze, values, stride in reversed(levels):
+        key, rank = key % stride, key // stride
+        coords.append(values[rank])
+        if squeeze is not None:
+            key = squeeze[key]
+    return IndexSet(a.dim, np.stack(coords[::-1], axis=1))
 
 
 def _runs(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

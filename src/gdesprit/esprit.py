@@ -150,17 +150,18 @@ def build_hankel(f: MdSequence, xi: IndexSet, upsilon: IndexSet) -> GdHankel:
             f"dimension mismatch: samples {d}, rows {xi.dim}, columns {upsilon.dim}"
         )
     _check_sums(xi.bounding_box, upsilon.bounding_box)
-    xs, ys = xi.as_array, upsilon.as_array
-    idx = f.domain.locate(xs[:, None, p] + ys[None, :, p] for p in range(d))
-    if (idx < 0).any():
+    idx = f.domain.locate_sums(xi, upsilon)
+    if idx.min() < 0:
         n, m = np.argwhere(idx < 0)[0]
-        missing = tuple((xs[n] + ys[m]).tolist())
+        missing = tuple((xi.as_array[n] + upsilon.as_array[m]).tolist())
         problem = "is required by the structured matrix but was not provided"
         raise CoverageError(f"sample at index {missing} {problem}", missing=missing)
     used = np.zeros(len(f.domain), dtype=bool)
     used[idx] = True
     unused = len(f.domain) - int(np.count_nonzero(used))
-    return GdHankel(matrix=_readonly(f.values[idx]), unused_samples=unused)
+    matrix = f.values[idx]
+    matrix.setflags(write=False)  # a fresh gather: no second copy of H
+    return GdHankel(matrix=matrix, unused_samples=unused)
 
 
 def auto_order(singular_values: np.ndarray, rel_tol: float) -> int:

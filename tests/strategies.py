@@ -27,11 +27,11 @@ def index_sets(draw, dim=None, min_size=1, max_size=12, lo=-6, hi=6):
 
 
 @st.composite
-def gapped_axes(draw):
-    """1 to 3 lists of coordinate values, each starting below zero and
-    stepping by gaps of 2 to 9."""
+def gapped_axes(draw, dim=None):
+    """``dim`` (else 1 to 3) lists of coordinate values, each starting below
+    zero and stepping by gaps of 2 to 9."""
     axes = []
-    for _ in range(draw(st.integers(1, 3))):
+    for _ in range(dim or draw(st.integers(1, 3))):
         start = draw(st.integers(-40, -1))
         gaps = draw(st.lists(st.integers(2, 9), max_size=4))
         axes.append(np.cumsum([start, *gaps]).tolist())
@@ -39,9 +39,9 @@ def gapped_axes(draw):
 
 
 @st.composite
-def gapped_index_sets(draw, max_size=20):
-    """1- to 3-d sets of points drawn from ``gapped_axes``."""
-    axes = draw(gapped_axes())
+def gapped_index_sets(draw, max_size=20, dim=None):
+    """Sets of points drawn from ``gapped_axes(dim)``."""
+    axes = draw(gapped_axes(dim))
     pick = st.tuples(*(st.sampled_from(axis) for axis in axes))
     return IndexSet(len(axes), tuple(draw(st.lists(pick, min_size=1, max_size=max_size))))
 

@@ -533,6 +533,15 @@ class TestDomainInfo:
         assert "singleton fiber (1,) along dimension 2" in out
         assert "capacity = n/a" in out
 
+    def test_boolean_mask_is_an_input_error(self, tmp_path, capsys):
+        mask = tmp_path / "m.json"
+        serialize.dump_json([[True, False], [False, True], [True, True], [False, False]], mask)
+        out = tmp_path / "samples.json"
+        assert run_cli("synth", "--grid", f"mask:{mask}", "--order", "1", "--out", str(out)) == 2
+        assert not out.exists()
+        assert run_cli("domain-info", f"mask:{mask}") == 2
+        assert capsys.readouterr().err.count("error:") == 2
+
     def test_too_many_grids(self, capsys):
         code = run_cli("domain-info", "box:2", "box:2", "box:2")
         assert code == 2

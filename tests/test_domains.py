@@ -126,6 +126,13 @@ class TestIndexSet:
         for i, p in enumerate(xi.points):
             assert xi.locate(np.array(p)[:, None]).tolist() == [i]
 
+    def test_rejects_boolean_coordinates(self):
+        with pytest.raises(DomainError):
+            IndexSet(2, np.array([[True, False]]))
+        for pts in ([[True, False]], [[True, 2], [0, 1]], [False, 1]):
+            with pytest.raises(DomainError):
+                make_shape({"kind": "mask", "points": pts})
+
     def test_as_array_read_only(self):
         xi = make_box((2, 2))
         with pytest.raises(ValueError):
@@ -293,6 +300,19 @@ class TestMinkowskiAndErosion:
     def test_minkowski_origin_identity(self, a):
         origin = IndexSet(a.dim, ((0,) * a.dim,))
         assert minkowski_sum(a, origin).points == a.points
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            # a point far from the rest: the sums' keys count distinct values only
+            (((0, 0), (1, 0), (2**40, 2**40)), ((0, 0), (0, 3), (-(2**40), 7))),
+            # 64 dimensions: the pairs' keys squeeze on the way, as a lookup's do
+            (((0,) * 64, (1,) * 64, (0,) * 63 + (1,)), ((0,) * 64, (0,) * 63 + (1,), (1,) + (0,) * 63)),
+        ],
+    )
+    def test_minkowski_far_and_high_dimensional(self, a, b):
+        got = minkowski_sum(IndexSet(len(a[0]), a), IndexSet(len(b[0]), b))
+        assert list(got.points) == oracles.minkowski_ref(a, b)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DomainError):

@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import oracles
-from strategies import index_sets
+from strategies import gapped_index_sets, index_sets
 from gdesprit.domains import IndexSet, make_box, minkowski_sum
 from gdesprit.errors import CoverageError, DomainError
 from gdesprit.esprit import DEFAULT_RANK_REL_TOL, auto_order, build_hankel
@@ -115,6 +117,92 @@ class TestBuildHankel:
         with pytest.raises(CoverageError) as err:
             build_hankel(f, xi, upsilon)
         assert err.value.missing == (4,)
+
+    @given(st.data(), st.booleans(), st.integers(0, 10_000))
+    def test_gapped_and_far_sets_match_dict_oracle(self, data, far, seed):
+        # gapped axes give rank tables that are not affine; a point at 2**40
+        # spreads the sums far beyond any table sized by the bounding box;
+        # up to two dropped sums must report the first one scanned
+        xi = data.draw(gapped_index_sets(max_size=8))
+        if far:
+            xi = IndexSet(xi.dim, (*xi.points, (2**40,) * xi.dim))
+        upsilon = data.draw(gapped_index_sets(max_size=8, dim=xi.dim))
+        extra = data.draw(gapped_index_sets(max_size=8, dim=xi.dim))
+        sums = set(oracles.minkowski_ref(xi.points, upsilon.points))
+        holes = data.draw(st.sets(st.sampled_from(sorted(sums)), max_size=2))
+        assume((sums | set(extra.points)) - holes)
+        omega = IndexSet(xi.dim, tuple((sums | set(extra.points)) - holes))
+        f = sampled_on(omega, seed)
+        scan = [tuple(a + b for a, b in zip(x, y)) for x in xi.points for y in upsilon.points]
+        if holes:
+            with pytest.raises(CoverageError) as err:
+                build_hankel(f, xi, upsilon)
+            assert err.value.missing == next(s for s in scan if s in holes)
+            return
+        H = build_hankel(f, xi, upsilon)
+        value_map = dict(zip(omega.points, f.values))
+        np.testing.assert_array_equal(H.matrix, oracles.hankel_ref(value_map, xi.points, upsilon.points))
+        assert H.unused_samples == len(set(extra.points) - sums)
+
+    def test_non_affine_rank_table(self):
+        # the sums [[0, 10], [2, 12]] rank [[0, 3], [2, 4]] in omega, which is
+        # no alpha_i + beta_j (0 + 4 != 3 + 2): the table is gathered, not added
+        omega = IndexSet(1, (0, 1, 2, 10, 12))
+        xi, upsilon = IndexSet(1, (0, 2)), IndexSet(1, (0, 10))
+        assert omega.locate_sums(xi, upsilon).tolist() == [[0, 3], [2, 4]]
+        H = build_hankel(MdSequence(omega, [1, 2, 3, 4, 5]), xi, upsilon)
+        np.testing.assert_array_equal(H.matrix, [[1, 4], [3, 5]])
+        assert H.unused_samples == 1
+
+    def test_sums_in_64_dimensions(self):
+        # omega's key count passes int64 before dimension 64, so its lookup
+        # squeezes the running key, as in test_key_count_beyond_int64
+        xi = IndexSet(64, ((0,) * 64, (1,) * 64, (0,) * 63 + (1,)))
+        upsilon = IndexSet(64, ((0,) * 64, (0,) * 63 + (1,)))
+        omega = IndexSet(64, (*minkowski_sum(xi, upsilon).points, (2,) * 64))
+        assert any(squeeze is not None for squeeze, _, _ in omega._levels[0])
+        f = sampled_on(omega, 5)
+        H = build_hankel(f, xi, upsilon)
+        value_map = dict(zip(omega.points, f.values))
+        np.testing.assert_array_equal(H.matrix, oracles.hankel_ref(value_map, xi.points, upsilon.points))
+        assert H.unused_samples == 1
+        gap = IndexSet(64, [p for p in omega.points if p != (1,) * 63 + (2,)])
+        scan = [[tuple(np.add(x, y).tolist()) for y in upsilon.points] for x in xi.points]
+        expected = [[gap.points.index(s) if s in gap.points else -1 for s in row] for row in scan]
+        assert expected[2][1] == -1
+        assert gap.locate_sums(xi, upsilon).tolist() == expected
+
+    @pytest.mark.parametrize(
+        "xi, upsilon, holes, missing",
+        [
+            # (1, 1) has both coordinates elsewhere in omega: only its key is absent
+            (((0, 0), (3, 0), (0, 5)), ((0, 0), (1, 1)), {(1, 1)}, (1, 1)),
+            # with (4, 1) gone, the value 4 is absent from axis 1
+            (((0, 0), (3, 0), (0, 5)), ((0, 0), (1, 1)), {(4, 1), (1, 6)}, (4, 1)),
+            # omega's keys are 0, 1, 2 as on a box, and (1, 1) would be key 3
+            (((0, 0), (1, 0)), ((0, 0), (0, 1)), {(1, 1)}, (1, 1)),
+        ],
+    )
+    def test_first_missing_sum_on_small_grids(self, xi, upsilon, holes, missing):
+        xi, upsilon = IndexSet(2, xi), IndexSet(2, upsilon)
+        omega = IndexSet(2, [p for p in minkowski_sum(xi, upsilon).points if p not in holes])
+        with pytest.raises(CoverageError) as err:
+            build_hankel(sampled_on(omega), xi, upsilon)
+        assert err.value.missing == missing
+
+    def test_peak_memory_at_fig6_size(self):
+        # H (441 x 441 complex, 3.1 MB) is gathered once and made read-only
+        # in place; a second copy of it would lift the peak above 6 MB
+        xi, f = make_box((21, 21)), sampled_on(make_box((41, 41)))
+        build_hankel(f, xi, xi)  # the sets' lookup tables are built and kept
+        tracemalloc.start()
+        try:
+            H = build_hankel(f, xi, xi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert H.matrix.nbytes == 441 * 441 * 16
+        assert peak <= 6.0e6
 
     def test_dimension_mismatch(self):
         f = sampled_on(make_box((3, 3)), 0)
