@@ -347,7 +347,8 @@ def esprit_nd(
     x + y of a row point and a column point.  The model order comes from
     ``options`` (fixed, or selected from the singular value sequence) and is
     checked against the grid capacity before any subspace work, and against
-    the numerical rank of the sample matrix before the shift solves.  The
+    the numerical rank of the sample matrix before its singular vectors are
+    formed; both paths factor the sample matrix once.  The
     report counts the samples at no such sum, which only the coefficient
     fit uses.
     """
@@ -358,20 +359,24 @@ def esprit_nd(
     cap = min(len(m.keep_minus) for m in masks)
     if opts.model_order is not None:
         _check_capacity(opts.model_order, cap, len(upsilon))
-    svd = lb.truncated_svd(H.matrix)
-    s = svd.spectrum
-    K = opts.model_order
-    if K is None:
-        K = auto_order(s, opts.auto_rel_tol)
-        if K < 1:
-            raise ModelOrderError("selected model order is zero; nothing to recover")
-        _check_capacity(K, cap, len(upsilon))
-    if auto_order(s, max(H.matrix.shape) * np.finfo(np.float64).eps) < K:
-        raise ModelOrderError(
-            f"sample matrix has numerical rank below {K}; "
-            "fewer terms are present than requested"
-        )
-    U = svd.U[:, :K]
+
+    def order(s: np.ndarray) -> int:
+        K = opts.model_order
+        if K is None:
+            K = auto_order(s, opts.auto_rel_tol)
+            if K < 1:
+                raise ModelOrderError("selected model order is zero; nothing to recover")
+            _check_capacity(K, cap, len(upsilon))
+        if auto_order(s, max(H.matrix.shape) * np.finfo(np.float64).eps) < K:
+            raise ModelOrderError(
+                f"sample matrix has numerical rank below {K}; "
+                "fewer terms are present than requested"
+            )
+        return K
+
+    # the order is chosen between the singular values and the vectors
+    svd = lb.truncated_svd(H.matrix, order)
+    s, U = svd.spectrum, svd.U
     shifts = [_shift_from_masks(U, m) for m in masks]
     jd = joint_eig(shifts, opts)
     zetas = _principal_log(jd.nodes)

@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, settings
 
 import gdesprit.esprit
 import gdesprit.signal
+from gdesprit import linalg_backend
 
 settings.register_profile(
     "default",
@@ -16,6 +17,15 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 settings.load_profile("default")
+
+
+@pytest.fixture(scope="class")
+def svd_fallback():
+    """Force ``truncated_svd`` onto its ``np.linalg.svd`` fallback
+    (class-scoped, so hypothesis tests may use it)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg_backend, "_LAPACK", None)
+        yield
 
 
 @pytest.fixture

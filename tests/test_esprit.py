@@ -491,6 +491,24 @@ class TestEspritNd:
         err = match_frequencies(auto.model.nodes, fixed.model.nodes).lambda_errors.max()
         assert err < 1e-12
 
+    @pytest.mark.parametrize("fallback", [False, True], ids=["default_route", "fallback"])
+    def test_auto_and_fixed_order_give_identical_nodes(self, fallback, monkeypatch):
+        # both paths factor H once and pick K between the singular values
+        # and the vectors, so they run the same arithmetic, on either route
+        if fallback:
+            monkeypatch.setattr(linalg_backend, "_LAPACK", None)
+        K = 20
+        model = exact_model(K, 2, 57)
+        xi = upsilon = make_box((12, 12))
+        f = eval_model(model, minkowski_sum(xi, upsilon))
+        noise = [1, 1j] @ np.random.default_rng(58).standard_normal((2, len(f.values)))
+        f = MdSequence(f.domain, f.values + 1e-6 * noise)
+        fixed = esprit_nd(f, xi, upsilon, EspritOptions(model_order=K))
+        auto = esprit_nd(f, xi, upsilon, EspritOptions(auto_rel_tol=1e-4))
+        assert auto.model.order == K
+        np.testing.assert_array_equal(auto.model.nodes, fixed.model.nodes)
+        np.testing.assert_array_equal(auto.singular_values, fixed.singular_values)
+
     def test_non_rectangular_row_grid(self):
         xi = trimmed_half_disc(4)
         upsilon = make_box((3, 3))

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gdesprit.errors import DomainError, RankDeficiencyError
-from gdesprit.esprit import _estimate_warnings
+from gdesprit import linalg_backend
+from gdesprit.errors import DomainError, ModelOrderError, RankDeficiencyError
+from gdesprit.esprit import _estimate_warnings, esprit_1d
 from gdesprit.linalg_backend import (
     EigResult,
     eig_full,
@@ -36,6 +37,18 @@ def assert_left_singular(H, svd):
     np.testing.assert_allclose(svd.U.conj().T @ svd.U, np.eye(K), atol=1e-12)
     gram = svd.U.conj().T @ H @ H.conj().T @ svd.U
     np.testing.assert_allclose(gram, np.diag(svd.spectrum[:K] ** 2), atol=1e-12 * reference[0] ** 2)
+
+
+def assert_leading_subspace(H, svd, K):
+    """The spectrum is the reference one within 1e-13 sigma_1, and U spans
+    the reference K-dimensional leading left subspace:
+    ||U_K U_K^* - U_ref U_ref^*||_2 <= 1e-12."""
+    reference = np.linalg.svd(H, compute_uv=False)
+    np.testing.assert_allclose(svd.spectrum, reference, rtol=0, atol=1e-13 * reference[0])
+    assert svd.U.shape == (H.shape[0], K)
+    U_ref = np.linalg.svd(H)[0][:, :K]
+    gap = svd.U @ svd.U.conj().T - U_ref @ U_ref.conj().T
+    assert np.linalg.norm(gap, 2) <= 1e-12
 
 
 class TestTruncatedSvd:
@@ -84,6 +97,101 @@ class TestTruncatedSvd:
     def test_rejects_non_matrix(self):
         with pytest.raises(DomainError):
             truncated_svd(np.ones(4))
+
+    @pytest.mark.parametrize("shape", [(200, 160), (160, 200)])
+    @pytest.mark.parametrize("K", [1, 40, 160])
+    def test_blocked_sizes(self, shape, K):
+        # large enough that LAPACK takes its blocked code paths
+        H = random_complex(np.random.default_rng(K), *shape)
+        assert_leading_subspace(H, truncated_svd(H, K), K)
+
+    def test_order_from_spectrum(self):
+        H = random_complex(np.random.default_rng(3), 9, 6)
+        seen = []
+        svd = truncated_svd(H, lambda s: seen.append(s.copy()) or 2)
+        np.testing.assert_array_equal(seen[0], svd.spectrum)
+        assert_leading_subspace(H, svd, 2)
+
+    def test_order_errors_propagate(self):
+        H = random_complex(np.random.default_rng(4), 6, 6)
+
+        def refuse(s):
+            raise ModelOrderError("no order")
+
+        with pytest.raises(ModelOrderError):
+            truncated_svd(H, refuse)
+        for K in (0, 7):
+            with pytest.raises(DomainError):
+                truncated_svd(H, K)
+
+    def test_zero_matrix(self):
+        svd = truncated_svd(np.zeros((5, 4)), 3)
+        np.testing.assert_array_equal(svd.spectrum, np.zeros(4))
+        np.testing.assert_allclose(svd.U.conj().T @ svd.U, np.eye(3), atol=1e-15)
+
+    def test_one_by_one(self):
+        svd = truncated_svd(np.array([[3 - 4j]]))
+        np.testing.assert_allclose(svd.spectrum, [5.0], rtol=1e-15)
+        np.testing.assert_allclose(abs(svd.U), [[1.0]], rtol=1e-15)
+
+    def test_two_by_two(self):
+        H = np.array([[1.0, 2j], [0.5, -1.0]])
+        for K in (1, 2):
+            assert_leading_subspace(H, truncated_svd(H, K), K)
+
+    def test_esprit_1d_on_three_samples(self):
+        # the smallest box: a 2x2 sample matrix
+        z = np.exp(0.3 + 0.7j)
+        zeta = esprit_1d(z ** np.arange(3), 1)
+        np.testing.assert_allclose(zeta, [0.3 + 0.7j], atol=1e-14)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (5, 5), (40, 40), (5, 8)])
+    def test_nan_raises_linalg_error(self, shape):
+        H = np.ones(shape, dtype=complex)
+        H[1, 1] = np.nan
+        with pytest.raises(np.linalg.LinAlgError):
+            truncated_svd(H, 1)
+
+
+@pytest.mark.usefixtures("svd_fallback")
+class TestTruncatedSvdFallback(TestTruncatedSvd):
+    """The same contracts on the ``np.linalg.svd`` route, the only one on
+    numpy builds whose LAPACK routines are not found."""
+
+    # hypothesis ties a property test to one class, so these are given anew
+    test_factorization_and_orthonormality = given(
+        st.integers(0, 10_000), st.integers(2, 8), st.integers(2, 8)
+    )(TestTruncatedSvd.test_factorization_and_orthonormality.hypothesis.inner_test)
+    test_truncation_error_is_next_singular_value = given(
+        st.integers(0, 10_000), st.sampled_from(SHAPES)
+    )(TestTruncatedSvd.test_truncation_error_is_next_singular_value.hypothesis.inner_test)
+
+    def test_runs_the_fallback(self):
+        assert linalg_backend._LAPACK is None
+
+
+def test_lapack_route_resolved():
+    # without this, a numpy build that stopped exporting the routines would
+    # only make every SVD slower, and no other test would fail
+    try:
+        lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
+    except (TypeError, KeyError):
+        pytest.skip("this numpy does not report its LAPACK")
+    if lapack.get("name") != "scipy-openblas":
+        pytest.skip(f"numpy's LAPACK is {lapack.get('name')!r}, not scipy-openblas")
+    assert linalg_backend._LAPACK is not None
+
+
+@pytest.mark.skipif(linalg_backend._LAPACK is None, reason="numpy's LAPACK routines not found")
+def test_lapack_info_raises_linalg_error():
+    # a finite H never makes the routines fail in practice, so an illegal
+    # leading dimension (info = -4) stands in for a nonzero info
+    zgebrd = linalg_backend._LAPACK[0]
+    A = np.zeros((3, 3), dtype=complex, order="F")
+    d, e = np.empty(3), np.empty(2)
+    tauq, taup = np.empty(3, dtype=complex), np.empty(3, dtype=complex)
+    with pytest.raises(np.linalg.LinAlgError):
+        linalg_backend._call_with_workspace(zgebrd, 3, 3, A, 1, d, e, tauq, taup)
 
 
 class TestEig:
