@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import ctypes
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -42,12 +44,17 @@ def assert_left_singular(H, svd):
 def assert_leading_subspace(H, svd, K):
     """The spectrum is the reference one within 1e-13 sigma_1, and U spans
     the reference K-dimensional leading left subspace:
-    ||U_K U_K^* - U_ref U_ref^*||_2 <= 1e-12."""
+    ||U_K U_K^* - U_ref U_ref^*||_2 <= 1e-12, with column j a left singular
+    vector of sigma_j: ||H^* u_j|| = sigma_j."""
     reference = np.linalg.svd(H, compute_uv=False)
     np.testing.assert_allclose(svd.spectrum, reference, rtol=0, atol=1e-13 * reference[0])
     assert svd.U.shape == (H.shape[0], K)
-    U_ref = np.linalg.svd(H)[0][:, :K]
-    gap = svd.U @ svd.U.conj().T - U_ref @ U_ref.conj().T
+    norms = np.linalg.norm(H.conj().T @ svd.U, axis=0)
+    np.testing.assert_allclose(norms, reference[:K], rtol=0, atol=1e-12 * reference[0])
+    U_ref = np.linalg.svd(H, full_matrices=False)[0][:, :K]
+    # with [U, U_ref] = W R, the projector gap is W (R_1 R_1^* - R_2 R_2^*) W^*
+    R = np.linalg.qr(np.hstack([svd.U, U_ref]), mode="r")
+    gap = R[:, :K] @ R[:, :K].conj().T - R[:, K:] @ R[:, K:].conj().T
     assert np.linalg.norm(gap, 2) <= 1e-12
 
 
@@ -145,6 +152,36 @@ class TestTruncatedSvd:
         zeta = esprit_1d(z ** np.arange(3), 1)
         np.testing.assert_allclose(zeta, [0.3 + 0.7j], atol=1e-14)
 
+    @pytest.mark.parametrize(
+        "shape, K",
+        # n >= 10 K (inverse iteration on the LAPACK route), then n < 10 K
+        [(s, K) for s in [(200, 200), (300, 200)] for K in (1, 8, 20)]
+        + [((200, 200), 21), ((300, 200), 50), ((60, 60), 8)],
+    )
+    def test_both_sides_of_the_inverse_iteration_ratio(self, shape, K):
+        H = random_complex(np.random.default_rng(K), *shape)
+        assert_leading_subspace(H, truncated_svd(H, K), K)
+
+    def test_ill_conditioned_hankel(self):
+        # 200x200 Hankel of 8 undamped terms in two pairs 3e-6 apart
+        omega = np.array([0.5, 0.5 + 3e-6, 1.5, 1.5 + 3e-6, 2.5, 3.0, -1.0, -2.0])
+        x = np.exp(1j * np.outer(np.arange(399), omega)).sum(axis=1)
+        H = x[np.arange(200)[:, None] + np.arange(200)]
+        svd = truncated_svd(H, 8)
+        assert svd.spectrum[7] < 1e-8 * svd.spectrum[0]
+        np.testing.assert_allclose(svd.U.conj().T @ svd.U, np.eye(8), atol=1e-13)
+        assert_leading_subspace(H, svd, 8)
+
+    def test_zero_trailing_singular_values(self):
+        # rank 3 with K = 6: sigma_K = 0, and U still has orthonormal columns
+        rng = np.random.default_rng(12)
+        H = random_complex(rng, 100, 3) @ random_complex(rng, 3, 100)
+        svd = truncated_svd(H, 6)
+        assert svd.spectrum[5] <= 1e-13 * svd.spectrum[0]
+        np.testing.assert_allclose(svd.U.conj().T @ svd.U, np.eye(6), atol=1e-13)
+        U = svd.U[:, :3]
+        np.testing.assert_allclose(U @ (U.conj().T @ H), H, atol=1e-12 * svd.spectrum[0])
+
     @pytest.mark.parametrize("shape", [(2, 2), (5, 5), (40, 40), (5, 8)])
     def test_nan_raises_linalg_error(self, shape):
         H = np.ones(shape, dtype=complex)
@@ -179,10 +216,75 @@ def test_lapack_route_resolved():
         pytest.skip("this numpy does not report its LAPACK")
     if lapack.get("name") != "scipy-openblas":
         pytest.skip(f"numpy's LAPACK is {lapack.get('name')!r}, not scipy-openblas")
+    # the route takes all four routines or none
+    assert "dstein" in linalg_backend._SIGNATURES
     assert linalg_backend._LAPACK is not None
 
 
-@pytest.mark.skipif(linalg_backend._LAPACK is None, reason="numpy's LAPACK routines not found")
+lapack_route = pytest.mark.skipif(
+    linalg_backend._LAPACK is None, reason="numpy's LAPACK routines not found"
+)
+
+
+@pytest.fixture
+def lapack_calls(monkeypatch):
+    """The LAPACK calls ``truncated_svd`` makes, as (routine, its
+    one-character arguments), with workspace queries counted."""
+    calls = []
+
+    def counted(name, routine):
+        def call(*args):
+            calls.append((name, *(a.decode() for a in args if isinstance(a, bytes))))
+            routine(*args)
+
+        return call
+
+    routines = zip(linalg_backend._SIGNATURES, linalg_backend._LAPACK)
+    monkeypatch.setattr(linalg_backend, "_LAPACK", tuple(counted(*r) for r in routines))
+    return calls
+
+
+@lapack_route
+@pytest.mark.parametrize(
+    "n, K, vectors",
+    [(200, 20, "dstein"), (200, 21, "I"), (40, 4, "dstein"), (39, 4, "I"), (10, 1, "dstein")],
+)
+def test_inverse_iteration_runs_when_k_is_small(lapack_calls, n, K, vectors):
+    H = random_complex(np.random.default_rng(n), n, n)
+    assert_leading_subspace(H, truncated_svd(H, K), K)
+    bidiagonal = [c for c in lapack_calls if c[0] in ("dbdsdc", "dstein")]
+    # dqds for the spectrum, then one route to the K vectors
+    expected = ("dstein",) if vectors == "dstein" else ("dbdsdc", "U", "I")
+    assert bidiagonal == [("dbdsdc", "U", "N"), expected]
+
+
+@lapack_route
+def test_zero_sigma_k_takes_divide_and_conquer(lapack_calls):
+    rng = np.random.default_rng(12)
+    H = random_complex(rng, 100, 3) @ random_complex(rng, 3, 100)
+    truncated_svd(H, 6)
+    assert ("dstein",) not in lapack_calls
+    assert ("dbdsdc", "U", "I") in lapack_calls
+
+
+@lapack_route
+def test_unconverged_inverse_iteration_falls_back(monkeypatch):
+    H = random_complex(np.random.default_rng(8), 200, 200)
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg_backend, "INVERSE_ITERATION_RATIO", 201)
+        divide_and_conquer = truncated_svd(H, 8)
+
+    def unconverged(*args):
+        # info, the last argument, > 0: some vector did not converge
+        ctypes.c_int64.from_address(args[-1]).value = 1
+
+    monkeypatch.setattr(linalg_backend, "_LAPACK", (*linalg_backend._LAPACK[:3], unconverged))
+    svd = truncated_svd(H, 8)
+    np.testing.assert_array_equal(svd.U, divide_and_conquer.U)
+    np.testing.assert_array_equal(svd.spectrum, divide_and_conquer.spectrum)
+
+
+@lapack_route
 def test_lapack_info_raises_linalg_error():
     # a finite H never makes the routines fail in practice, so an illegal
     # leading dimension (info = -4) stands in for a nonzero info
