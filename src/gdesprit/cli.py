@@ -3,7 +3,8 @@
 Subcommands: ``synth`` (sample a model onto a grid), ``estimate`` (recover a
 model from a sample file), ``experiment`` (run a spec or bundled scenarios)
 and ``domain-info`` (inspect grids).  Exit codes: 0 success, 1 runtime
-failure, 2 invalid input or usage.
+failure, 2 invalid input or usage.  Each either/or choice of flags is an
+argparse mutually exclusive group, so argparse reports a conflict and exits 2.
 
 Grid arguments use the compact grammar of ``_GRID_HELP`` below, which
 ``gdesprit --help`` prints.
@@ -23,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import harness, serialize
-from .domains import capacity, degenerate_fibers, erode, minkowski_sum
+from .domains import _number, capacity, degenerate_fibers, erode, minkowski_sum
 from .errors import INPUT_ERRORS, RUNTIME_ERRORS, DomainError
 from .esprit import EspritOptions, esprit_nd
 from .signal import add_noise, eval_model, random_model
@@ -66,17 +67,14 @@ def parse_grid_arg(text: str) -> dict:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    if args.seed < 0:  # numpy seed sequences take nonnegative integers only
-        raise DomainError(f"--seed must be nonnegative, got {args.seed}")
+    _number(args.seed, "--seed", integral=True, minimum=0)  # as numpy seeds must be
     omega_spec = parse_grid_arg(args.grid)
     omega = serialize.grid_from_spec(omega_spec)
     if args.model is not None:
-        if args.layout is not None or args.order is not None:
-            raise DomainError("give either --model or --layout/--order, not both")
+        if args.layout is not None:
+            raise DomainError("give either --model or --layout, not both")
         model = serialize.model_from_dict(serialize.load_json(args.model))
     else:
-        if args.order is None:
-            raise DomainError("--order is required when no --model file is given")
         layout = args.layout if args.layout is not None else "uniform_imag"
         rng = np.random.default_rng((args.seed, 0))
         model = random_model(
@@ -101,18 +99,9 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     f = serialize.samples_from_dict(serialize.load_json(args.samples))
     xi = serialize.grid_from_spec(parse_grid_arg(args.xi))
     if args.erode:
-        if args.upsilon is not None:
-            raise DomainError("give either --upsilon or --erode, not both")
         upsilon = erode(f.domain, xi)
-    elif args.upsilon is not None:
-        upsilon = serialize.grid_from_spec(parse_grid_arg(args.upsilon))
     else:
-        raise DomainError("one of --upsilon or --erode is required")
-
-    if args.auto is None and args.order is None:
-        raise DomainError("one of --order or --auto is required")
-    if args.auto is not None and args.order is not None:
-        raise DomainError("give either --order or --auto, not both")
+        upsilon = serialize.grid_from_spec(parse_grid_arg(args.upsilon))
     options = EspritOptions(
         model_order=args.order,
         auto_rel_tol=args.auto if args.auto is not None else EspritOptions().auto_rel_tol,
@@ -163,8 +152,6 @@ def _print_summary(spec: harness.ExperimentSpec, results: list[harness.TrialResu
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
-    if (args.spec is None) == (args.scenario is None):
-        raise DomainError("give exactly one of a spec file or --scenario")
     if args.scenario is not None:
         specs = [harness.bundled_spec(name) for name in dict.fromkeys(args.scenario)]
     else:
@@ -223,9 +210,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_synth = sub.add_parser("synth", help="sample a model onto a grid")
     p_synth.add_argument("--grid", required=True, help="sampling domain")
-    p_synth.add_argument("--model", help="model JSON file to evaluate")
+    source = p_synth.add_mutually_exclusive_group(required=True)
+    source.add_argument("--model", help="model JSON file to evaluate")
+    source.add_argument("--order", "-K", type=int, help="number of random terms")
     p_synth.add_argument("--layout", choices=("uniform_imag", "spiral", "random_complex"))
-    p_synth.add_argument("--order", "-K", type=int, help="number of random terms")
     p_synth.add_argument("--damping-bound", type=float, default=0.0)
     p_synth.add_argument("--noise", type=float, default=0.0, help="noise-to-signal ratio")
     p_synth.add_argument("--seed", type=int, default=0)
@@ -235,14 +223,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_est = sub.add_parser("estimate", help="recover a model from a sample file")
     p_est.add_argument("samples", help="sample JSON file")
     p_est.add_argument("--xi", required=True, help="row grid")
-    p_est.add_argument("--upsilon", help="column grid")
-    p_est.add_argument(
+    columns = p_est.add_mutually_exclusive_group(required=True)
+    columns.add_argument("--upsilon", help="column grid")
+    columns.add_argument(
         "--erode",
         action="store_true",
         help="derive the column grid by eroding the sample domain by --xi",
     )
-    p_est.add_argument("--order", "-K", type=int, help="fixed model order")
-    p_est.add_argument(
+    order = p_est.add_mutually_exclusive_group(required=True)
+    order.add_argument("--order", "-K", type=int, help="fixed model order")
+    order.add_argument(
         "--auto",
         type=float,
         nargs="?",
@@ -254,8 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.set_defaults(func=cmd_estimate)
 
     p_exp = sub.add_parser("experiment", help="run an experiment spec")
-    p_exp.add_argument("spec", nargs="?", help="experiment spec JSON file")
-    p_exp.add_argument(
+    source = p_exp.add_mutually_exclusive_group(required=True)
+    source.add_argument("spec", nargs="?", help="experiment spec JSON file")
+    source.add_argument(
         "--scenario",
         action="append",
         choices=harness.bundled_scenarios(),

@@ -110,8 +110,7 @@ class IndexSet:
     as_array: np.ndarray
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise DomainError(f"dimension must be at least 1, got {self.dim}")
+        object.__setattr__(self, "dim", _number(self.dim, "dimension", integral=True, minimum=1))
         arr = _coords(self.as_array, self.dim)
         arr = arr[np.lexsort(arr.T)]
         arr = arr[np.r_[True, (arr[1:] != arr[:-1]).any(axis=1)]]
@@ -222,10 +221,10 @@ class DeletionMasks:
     keep_plus: np.ndarray
 
 
-def _number(value, what: str, integral: bool = False):
+def _number(value, what: str, integral: bool = False, minimum=None):
     """``value`` as a float, or as an int where ``integral``; anything but a
     finite real number (a bool, a string, inf, nan, a fraction where a count
-    is meant) raises DomainError."""
+    is meant) or a number below ``minimum`` raises DomainError."""
     ok = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
     try:
         ok = ok and math.isfinite(value) and (not integral or float(value).is_integer())
@@ -234,16 +233,18 @@ def _number(value, what: str, integral: bool = False):
     if not ok:
         expected = "an integer" if integral else "a finite number"
         raise DomainError(f"{what} must be {expected}, got {value!r}")
-    return int(value) if integral else float(value)
+    value = int(value) if integral else float(value)
+    if minimum is not None and value < minimum:
+        bound = "nonnegative" if minimum == 0 else f"at least {minimum}"
+        raise DomainError(f"{what} must be {bound}, got {value}")
+    return value
 
 
 def make_box(widths: Sequence[int], offset: Sequence[int] | None = None) -> IndexSet:
     """Full box with the given per-dimension widths, anchored at ``offset``."""
-    widths = tuple(_number(w, "a box width", integral=True) for w in widths)
+    widths = tuple(_number(w, "a box width", integral=True, minimum=1) for w in widths)
     if not widths:
         raise DomainError("a box needs at least one width")
-    if any(w <= 0 for w in widths):
-        raise DomainError(f"box widths must be positive, got {widths}")
     off = np.zeros(len(widths), np.int64) if offset is None else _coords((offset,), len(widths))[0]
     _check_sums((off, off), ([0] * len(widths), [w - 1 for w in widths]))
     return IndexSet(len(widths), np.indices(widths).reshape(len(widths), -1).T + off)
@@ -267,14 +268,10 @@ def make_shape(spec: Mapping) -> IndexSet:
             raise DomainError(f"box spec needs a list of widths, got {widths!r}")
         grid = make_box(widths, spec.get("offset"))
     elif kind == "triangle":
-        side = _number(spec.get("side"), "the triangle side", integral=True)
-        if side < 1:
-            raise DomainError(f"triangle needs a positive integer side, got {side}")
+        side = _number(spec.get("side"), "the triangle side", integral=True, minimum=1)
         grid = IndexSet(2, [(i, j) for j in range(1, side + 1) for i in range(1, side + 2 - j)])
     elif kind == "half_disc":
-        radius = _number(spec.get("radius"), "the half_disc radius")
-        if radius < 0:
-            raise DomainError(f"half_disc needs a nonnegative radius, got {radius}")
+        radius = _number(spec.get("radius"), "the half_disc radius", minimum=0)
         rmax = int(np.floor(radius))
         i, j = np.meshgrid(np.arange(-rmax, rmax + 1), np.arange(rmax + 1))
         inside = i * i + j * j <= radius**2  # never empty: (0, 0) is inside

@@ -1,10 +1,10 @@
 """Exception types shared across the package.
 
-Everything that signals a bad argument derives from ValueError so callers
-that do not care about the fine-grained type can catch the builtin.
-Runtime failures of the numerical pipeline derive from RuntimeError.
-:data:`INPUT_ERRORS` and :data:`RUNTIME_ERRORS` list the two groups for
-callers that report failures instead of raising them.
+Every class derives from ValueError or RuntimeError, so callers that do not
+care about the fine-grained type can catch a builtin; the base class does not
+tell bad input from a failed computation.  :data:`INPUT_ERRORS` (the CLI exits
+2) and :data:`RUNTIME_ERRORS` (exit 1) do, and each class falls in exactly one:
+RankDeficiencyError, a ValueError, is a runtime failure on valid input.
 """
 
 from __future__ import annotations

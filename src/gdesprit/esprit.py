@@ -90,15 +90,12 @@ class EspritOptions:
 
     def __post_init__(self):
         if self.model_order is not None:
-            self.model_order = _number(self.model_order, "the model order", integral=True)
-            if self.model_order < 1:
-                raise DomainError(f"model order must be at least 1, got {self.model_order}")
+            self.model_order = _number(self.model_order, "the model order", integral=True, minimum=1)
         self.auto_rel_tol = _number(self.auto_rel_tol, "auto_rel_tol")
         if not 0 < self.auto_rel_tol < 1:
             raise DomainError(f"auto_rel_tol must lie in (0, 1), got {self.auto_rel_tol}")
-        self.combo_seed = _number(self.combo_seed, "combo_seed", integral=True)
-        if self.combo_seed < 0:  # numpy seed sequences take nonnegative integers only
-            raise DomainError(f"combo_seed must be nonnegative, got {self.combo_seed}")
+        # numpy seed sequences take nonnegative integers only
+        self.combo_seed = _number(self.combo_seed, "combo_seed", integral=True, minimum=0)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from .domains import IndexSet, _number, erode, minkowski_sum
 from .errors import INPUT_ERRORS, RUNTIME_ERRORS, DomainError
 from .esprit import EspritOptions, esprit_nd
 from .serialize import dump_json, grid_from_spec
-from .signal import add_noise, eval_model, random_model
+from .signal import _recipe, add_noise, eval_model, random_model
 
 NOISE_LADDER = (10.0 ** 0, 10.0 ** -0.5, 10.0 ** -1, 10.0 ** -2, 10.0 ** -3, 10.0 ** -4)
 
@@ -42,11 +42,11 @@ class ModelRecipe:
     damping_bound: float = 0.0
 
     def __post_init__(self):
-        for name in ("K", "d", "seed"):
-            object.__setattr__(self, name, _number(getattr(self, name), name, integral=True))
-        object.__setattr__(self, "damping_bound", _number(self.damping_bound, "damping_bound"))
-        if self.seed < 0:  # numpy seed sequences take nonnegative integers only
-            raise DomainError(f"seed must be nonnegative, got {self.seed}")
+        # random_model's rule, so a bad recipe fails here and not at trial 0
+        checked = _recipe(self.K, self.d, self.layout, self.damping_bound)
+        seed = _number(self.seed, "seed", integral=True, minimum=0)  # as numpy seeds must be
+        for name, value in zip(("K", "d", "damping_bound", "seed"), (*checked, seed)):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -75,14 +75,10 @@ class ExperimentSpec:
             raise DomainError(f"experiment name must be a plain file name, got {self.name!r}")
         if (self.upsilon is None) == (self.omega is None):
             raise DomainError("give exactly one of upsilon (column grid) or omega (sampling domain)")
-        object.__setattr__(self, "trials", _number(self.trials, "trials", integral=True))
-        if self.trials < 1:
-            raise DomainError(f"trials must be at least 1, got {self.trials}")
-        ratios = tuple(_number(r, "a noise ratio") for r in self.noise_ratios)
+        object.__setattr__(self, "trials", _number(self.trials, "trials", integral=True, minimum=1))
+        ratios = tuple(_number(r, "a noise ratio", minimum=0) for r in self.noise_ratios)
         if not ratios:
             raise DomainError("the noise ladder needs at least one ratio")
-        if any(r < 0 for r in ratios):
-            raise DomainError(f"noise ratios must be nonnegative, got {ratios}")
         object.__setattr__(self, "noise_ratios", ratios)
 
 
@@ -212,9 +208,7 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> list[TrialResult]:
     order.  When the spec names an output path, a CSV table and a JSON
     summary are written under it; reruns produce identical bytes.
     """
-    jobs = _number(jobs, "jobs", integral=True)
-    if jobs < 1:
-        raise DomainError(f"jobs must be at least 1, got {jobs}")
+    jobs = _number(jobs, "jobs", integral=True, minimum=1)
     xi, upsilon, omega = resolve_grids(spec)
     trials = range(spec.trials)
     if jobs > 1:
@@ -358,21 +352,12 @@ def bundled_spec(name: str, output: str | None = None) -> ExperimentSpec:
 
 
 def spec_from_dict(data: dict) -> ExperimentSpec:
+    """An experiment spec from its JSON form: the fields of :class:`ExperimentSpec`,
+    the grid ones under ``grid`` and those of :class:`ModelRecipe` under
+    ``model``.  Defaults are the dataclasses'; a missing or unknown key, or a
+    value they refuse, is a :class:`DomainError`."""
     try:
-        model = data["model"]
-        recipe = ModelRecipe(
-            model["layout"], model["K"], model["d"], model["seed"], model.get("damping_bound", 0.0)
-        )
-        grid = data["grid"]
-        return ExperimentSpec(
-            name=data["name"],
-            model=recipe,
-            xi=grid["xi"],
-            upsilon=grid.get("upsilon"),
-            omega=grid.get("omega"),
-            noise_ratios=tuple(data.get("noise_ratios", (0.0,))),
-            trials=data.get("trials", 20),
-            output=data.get("output"),
-        )
+        fields = {**data, "model": ModelRecipe(**data["model"])}
+        return ExperimentSpec(**fields.pop("grid"), **fields)
     except (KeyError, TypeError) as exc:
         raise DomainError(f"malformed experiment spec: {exc!r}") from exc

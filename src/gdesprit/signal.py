@@ -54,8 +54,7 @@ class ExponentialModel:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise DomainError(f"dimension must be at least 1, got {self.dim}")
+        object.__setattr__(self, "dim", _number(self.dim, "dimension", integral=True, minimum=1))
         z = np.asarray(self.zetas, dtype=np.complex128)
         if z.ndim == 1:
             z = z.reshape(-1, 1)
@@ -210,9 +209,7 @@ def add_noise(f: MdSequence, ratio: float, rng: np.random.Generator) -> MdSequen
     The returned sequence is f + e with ||e||_2 / ||f||_2 equal to ``ratio``
     up to a few ulp.  ``ratio=0`` returns an identical copy.
     """
-    if _number(ratio, "the noise ratio") < 0:
-        raise DomainError(f"noise ratio must be nonnegative, got {ratio}")
-    if ratio == 0:
+    if _number(ratio, "the noise ratio", minimum=0) == 0:
         return MdSequence(f.domain, f.values)
     signal_norm = np.linalg.norm(f.values)
     if signal_norm == 0:
@@ -227,6 +224,24 @@ def _colliding(nodes: np.ndarray) -> np.ndarray:
     diff = np.abs(nodes[:, None, :] - nodes[None, :, :]).max(axis=2)
     np.fill_diagonal(diff, np.inf)
     return np.unique(np.argwhere(diff < NODE_COLLISION_TOL)[:, 0])
+
+
+def _recipe(K, d, layout, damping_bound) -> tuple[int, int, float]:
+    """The checked order, dimension and damping bound of a random-model
+    recipe; any recipe :func:`random_model` cannot draw raises DomainError."""
+    K = _number(K, "the model order", integral=True, minimum=1)
+    d = _number(d, "the dimension", integral=True, minimum=1)
+    if layout not in _LAYOUTS:
+        raise DomainError(f"unknown layout {layout!r}; expected one of {_LAYOUTS}")
+    damping_bound = _number(damping_bound, "damping_bound", minimum=0)
+    if damping_bound and layout != "random_complex":
+        raise DomainError(
+            f"the {layout} layout is undamped and takes no damping_bound, got {damping_bound}; "
+            "use the random_complex layout"
+        )
+    if layout == "spiral" and d != 2:
+        raise DomainError("the spiral layout is only defined for d=2")
+    return K, d, damping_bound
 
 
 def random_model(
@@ -247,31 +262,16 @@ def random_model(
     * ``random_complex``: real part uniform in [-damping_bound, damping_bound],
       imaginary part uniform on (-pi, pi).
 
-    A nonzero ``damping_bound`` with either undamped layout is a
-    :class:`DomainError`.
+    K or d below 1, an unknown layout, a negative damping bound, a nonzero one
+    on an undamped layout or a spiral with d != 2 is a :class:`DomainError`,
+    by the rule ``harness.ModelRecipe`` also applies.
 
     Coefficients have modulus uniform in [0.5, 1.5] and uniform phase.
     Colliding node vectors (closer than ``NODE_COLLISION_TOL``) are redrawn
     up to ``COLLISION_RETRIES`` times, then :class:`GenerationError`.
     """
-    K = _number(K, "the model order", integral=True)
-    d = _number(d, "the dimension", integral=True)
-    if K < 1:
-        raise DomainError(f"model order must be at least 1, got {K}")
-    if d < 1:
-        raise DomainError(f"dimension must be at least 1, got {d}")
-    if layout not in _LAYOUTS:
-        raise DomainError(f"unknown layout {layout!r}; expected one of {_LAYOUTS}")
-    if _number(damping_bound, "damping_bound") < 0:
-        raise DomainError(f"damping_bound must be nonnegative, got {damping_bound}")
-    if damping_bound and layout != "random_complex":
-        raise DomainError(
-            f"the {layout} layout is undamped and takes no damping_bound, got {damping_bound}; "
-            "use the random_complex layout"
-        )
+    K, d, damping_bound = _recipe(K, d, layout, damping_bound)
     if layout == "spiral":
-        if d != 2:
-            raise DomainError("the spiral layout is only defined for d=2")
         k = np.arange(1, K + 1)
         r = np.pi * k / K
         phi = 4 * np.pi * k / K

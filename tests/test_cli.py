@@ -21,6 +21,15 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def usage_error(capsys, *argv) -> str:
+    """The message line of an argparse usage error, which exits 2 before any
+    command runs (the usage line above it lists every flag)."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+    return capsys.readouterr().err.strip().splitlines()[-1]
+
+
 def synth(tmp_path, *, grid="box:9,9", order=6, seed=3, noise=0.0, name="samples.json"):
     out = tmp_path / name
     code = run_cli(
@@ -124,17 +133,28 @@ class TestSynth:
     def test_model_and_order_conflict(self, tmp_path, capsys):
         model_path = tmp_path / "m.json"
         serialize.dump_json({"dim": 1, "terms": [{"zeta": [[0, 0.5]], "c": [1, 0]}]}, model_path)
+        err = usage_error(
+            capsys, "synth", "--grid", "box:5", "--model", str(model_path),
+            "--order", "2", "--out", str(tmp_path / "s.json"),
+        )
+        assert "--model" in err and "--order" in err and "not allowed" in err
+        assert not (tmp_path / "s.json").exists()
+
+    def test_model_and_layout_conflict(self, tmp_path, capsys):
+        model_path = tmp_path / "m.json"
+        serialize.dump_json({"dim": 1, "terms": [{"zeta": [[0, 0.5]], "c": [1, 0]}]}, model_path)
         code = run_cli(
             "synth", "--grid", "box:5", "--model", str(model_path),
-            "--order", "2", "--out", str(tmp_path / "s.json"),
+            "--layout", "spiral", "--out", str(tmp_path / "s.json"),
         )
         assert code == 2
         assert "not both" in capsys.readouterr().err
+        assert not (tmp_path / "s.json").exists()
 
     def test_order_required_without_model(self, tmp_path, capsys):
-        code = run_cli("synth", "--grid", "box:5", "--out", str(tmp_path / "s.json"))
-        assert code == 2
-        assert "--order is required" in capsys.readouterr().err
+        err = usage_error(capsys, "synth", "--grid", "box:5", "--out", str(tmp_path / "s.json"))
+        assert "--model" in err and "--order" in err and "required" in err
+        assert not (tmp_path / "s.json").exists()
 
     def test_negative_seed_is_a_usage_error(self, tmp_path, capsys):
         out = tmp_path / "x.json"
@@ -296,19 +316,19 @@ class TestEstimate:
         assert match_frequencies(truth.nodes, est.nodes).lambda_errors.max() < 1e-8
 
     @pytest.mark.parametrize(
-        "extra",
+        "extra, flags",
         [
-            ("--upsilon", "box:3,3", "--erode", "--order", "4"),  # both column forms
-            ("--order", "4"),  # no column form
-            ("--upsilon", "box:5,5"),  # neither order nor auto
-            ("--upsilon", "box:5,5", "--order", "3", "--auto"),  # both order forms
+            (("--upsilon", "box:3,3", "--erode", "--order", "4"), ("--upsilon", "--erode")),
+            (("--order", "4"), ("--upsilon", "--erode")),  # no column form
+            (("--upsilon", "box:5,5"), ("--order", "--auto")),  # neither order nor auto
+            (("--upsilon", "box:5,5", "--order", "3", "--auto"), ("--order", "--auto")),
         ],
+        ids=[f"extra{i}" for i in range(4)],
     )
-    def test_usage_conflicts(self, tmp_path, capsys, extra):
+    def test_usage_conflicts(self, tmp_path, capsys, extra, flags):
         samples_path, _ = synth(tmp_path)
-        code = run_cli("estimate", str(samples_path), "--xi", "box:5,5", *extra)
-        assert code == 2
-        assert capsys.readouterr().err.startswith("error:")
+        err = usage_error(capsys, "estimate", str(samples_path), "--xi", "box:5,5", *extra)
+        assert all(flag in err for flag in flags)
 
     def test_negative_seed_is_a_usage_error(self, tmp_path, capsys):
         samples_path, _ = synth(tmp_path)
@@ -445,24 +465,30 @@ class TestExperiment:
 
     def test_spec_and_scenario_conflict(self, tmp_path, capsys):
         spec_path = self._spec_file(tmp_path)
-        code = run_cli("experiment", str(spec_path), "--scenario", "fig1_small")
-        assert code == 2
-        assert "exactly one" in capsys.readouterr().err
+        err = usage_error(
+            capsys, "experiment", str(spec_path), "--scenario", "fig1_small", "--out", str(tmp_path)
+        )
+        assert "spec" in err and "--scenario" in err and "not allowed" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
 
     def test_neither_spec_nor_scenario(self, capsys):
-        code = run_cli("experiment")
-        assert code == 2
-        assert "exactly one" in capsys.readouterr().err
+        err = usage_error(capsys, "experiment")
+        assert "spec" in err and "--scenario" in err and "required" in err
 
     @pytest.mark.parametrize(
         "mutate",
-        [lambda d: d["model"].update(K="abc"), lambda d: d.update(trials="two")],
-        ids=["K", "trials"],
+        [
+            lambda d: d["model"].update(K="abc"),
+            lambda d: d.update(trials="two"),
+            lambda d: d.update(trails=1),  # a misspelled key is refused, not ignored
+        ],
+        ids=["K", "trials", "trails"],
     )
     def test_malformed_spec_is_an_input_error(self, tmp_path, capsys, mutate):
         code = run_cli("experiment", str(self._spec_file(tmp_path, mutate)), "--out", str(tmp_path))
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
 
     def test_non_finite_noise_ratio_is_an_input_error(self, tmp_path, capsys):
         spec_path = self._spec_file(tmp_path, lambda d: d.update(noise_ratios=[float("nan"), 1e-3]))

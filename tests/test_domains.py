@@ -110,6 +110,15 @@ class TestIndexSet:
         with pytest.raises(DomainError):
             IndexSet(2, ())
 
+    @pytest.mark.parametrize("dim", [0, -1, True, 2.5, "2", None])
+    def test_dimension_must_be_a_positive_integer(self, dim):
+        with pytest.raises(DomainError):
+            IndexSet(dim, ((1, 2),))
+
+    def test_integral_dimension_normalised(self):
+        xi = IndexSet(np.int64(2), ((1, 2),))
+        assert type(xi.dim) is int and xi == IndexSet(2.0, ((1, 2),))
+
     def test_rejects_wrong_dimension_point(self):
         with pytest.raises(DomainError):
             IndexSet(2, ((1, 2, 3),))

@@ -120,6 +120,10 @@ class TestModelRecipe:
             ("seed", -1),
             ("damping_bound", float("nan")),
             ("damping_bound", "0.1"),
+            # recipes random_model refuses are refused when the recipe is built
+            ("K", 0),
+            ("layout", "bogus"),
+            ("damping_bound", 0.5),  # on the undamped uniform_imag layout
         ],
     )
     def test_malformed_field(self, field, value):
@@ -223,23 +227,22 @@ class TestRunExperiment:
             np.testing.assert_array_equal(a.singular_values, b.singular_values)
             assert a.coeff_rel_error == b.coeff_rel_error
 
+    # a recipe random_model refuses fails when the spec is built, before any run
     def test_negative_damping_bound_writes_nothing(self, tmp_path):
-        spec = dataclasses.replace(
-            small_spec(output=str(tmp_path)),
-            model=ModelRecipe(layout="random_complex", K=3, d=2, seed=7, damping_bound=-0.5),
-        )
         with pytest.raises(DomainError, match="damping_bound must be nonnegative"):
-            run_experiment(spec)
-        assert not (tmp_path / "unit.csv").exists()
+            dataclasses.replace(
+                small_spec(output=str(tmp_path)),
+                model=ModelRecipe(layout="random_complex", K=3, d=2, seed=7, damping_bound=-0.5),
+            )
+        assert list(tmp_path.iterdir()) == []
 
     def test_damping_bound_on_undamped_layout_writes_nothing(self, tmp_path):
-        spec = dataclasses.replace(
-            small_spec(output=str(tmp_path)),
-            model=ModelRecipe(layout="uniform_imag", K=3, d=2, seed=7, damping_bound=0.5),
-        )
         with pytest.raises(DomainError, match="the uniform_imag layout is undamped"):
-            run_experiment(spec)
-        assert not (tmp_path / "unit.csv").exists()
+            dataclasses.replace(
+                small_spec(output=str(tmp_path)),
+                model=ModelRecipe(layout="uniform_imag", K=3, d=2, seed=7, damping_bound=0.5),
+            )
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("jobs", [0, 2.5])
     def test_jobs_must_be_a_positive_integer(self, tmp_path, jobs):
@@ -440,7 +443,7 @@ class TestSpecSerialization:
     def test_round_trip_erosion_form(self):
         spec = ExperimentSpec(
             name="er",
-            model=ModelRecipe(layout="spiral", K=5, d=2, seed=9, damping_bound=0.1),
+            model=ModelRecipe(layout="random_complex", K=5, d=2, seed=9, damping_bound=0.1),
             xi={"dim": 2, "kind": "box", "widths": [3, 3]},
             omega={"dim": 2, "kind": "half_disc", "radius": 6},
             noise_ratios=(0.0, 1e-3),
@@ -448,7 +451,7 @@ class TestSpecSerialization:
         )
         data = {
             "name": "er",
-            "model": {"layout": "spiral", "K": 5, "d": 2, "seed": 9, "damping_bound": 0.1},
+            "model": {"layout": "random_complex", "K": 5, "d": 2, "seed": 9, "damping_bound": 0.1},
             "grid": {"xi": {"dim": 2, "kind": "box", "widths": [3, 3]},
                      "omega": {"dim": 2, "kind": "half_disc", "radius": 6}},
             "noise_ratios": [0.0, 1e-3],
@@ -495,6 +498,13 @@ class TestSpecSerialization:
             lambda d: d.update(name="sub/unit"),
             lambda d: d.update(name="sub\\unit"),
             lambda d: d.update(noise_ratios=[]),
+            # unknown keys at each level are refused, not dropped
+            lambda d: d.update(trails=1),
+            lambda d: d["model"].update(seeds=1),
+            lambda d: d["grid"].update(omgea={"kind": "box", "widths": [5, 5]}),
+            lambda d: d.update(grid=[1]),
+            lambda d: d["model"].update(K=0),
+            lambda d: d["model"].update(layout="spiral", d=3),
         ],
     )
     def test_malformed_input(self, mutate):

@@ -78,6 +78,11 @@ class TestExponentialModel:
         with pytest.raises(DomainError):
             ExponentialModel(dim=2, zetas=[[0.1j, 0.2j]], coeffs=[1, 2])
 
+    @pytest.mark.parametrize("dim", [0, True, 1.5, "1"])
+    def test_dimension_must_be_a_positive_integer(self, dim):
+        with pytest.raises(DomainError):
+            ExponentialModel(dim=dim, zetas=[[0.1j]], coeffs=[1.0])
+
     def test_arrays_read_only(self):
         m = small_model()
         with pytest.raises(ValueError):
