@@ -71,15 +71,15 @@ def cmd_synth(args: argparse.Namespace) -> int:
     omega_spec = parse_grid_arg(args.grid)
     omega = serialize.grid_from_spec(omega_spec)
     if args.model is not None:
-        if args.layout is not None:
-            raise DomainError("give either --model or --layout, not both")
+        for flag, value in (("--layout", args.layout), ("--damping-bound", args.damping_bound)):
+            if value is not None:
+                raise DomainError(f"give either --model or {flag}, not both")
         model = serialize.model_from_dict(serialize.load_json(args.model))
     else:
         layout = args.layout if args.layout is not None else "uniform_imag"
+        bound = args.damping_bound if args.damping_bound is not None else 0.0
         rng = np.random.default_rng((args.seed, 0))
-        model = random_model(
-            args.order, omega.dim, rng, layout=layout, damping_bound=args.damping_bound
-        )
+        model = random_model(args.order, omega.dim, rng, layout=layout, damping_bound=bound)
     clean = eval_model(model, omega)
     noisy = add_noise(clean, args.noise, np.random.default_rng((args.seed, 1)))
 
@@ -214,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--model", help="model JSON file to evaluate")
     source.add_argument("--order", "-K", type=int, help="number of random terms")
     p_synth.add_argument("--layout", choices=("uniform_imag", "spiral", "random_complex"))
-    p_synth.add_argument("--damping-bound", type=float, default=0.0)
+    p_synth.add_argument("--damping-bound", type=float)
     p_synth.add_argument("--noise", type=float, default=0.0, help="noise-to-signal ratio")
     p_synth.add_argument("--seed", type=int, default=0)
     p_synth.add_argument("--out", required=True, help="sample file to write")

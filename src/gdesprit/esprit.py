@@ -314,9 +314,14 @@ def joint_eig(shift_matrices: list[np.ndarray], options: EspritOptions | None = 
                 "the terms cannot be separated"
             )
     B, V = eig.eigvecs_inv, eig.eigvecs
-    D = [B @ (A @ V) for A in mats]  # B A B^{-1}, with the eigenvectors V as B^{-1}
-    diagonals = [np.diag(Dp) for Dp in D]
-    residuals = np.array([np.linalg.norm(Dp - np.diag(g)) for Dp, g in zip(D, diagonals)])
+    diagonals, residuals = [], np.empty(len(mats))
+    for p, A in enumerate(mats):
+        Dp = B @ (A @ V)  # B A B^{-1}, with the eigenvectors V as B^{-1}
+        g = np.diag(Dp).copy()
+        # Dp - diag(g) in place: g - g is 0 where g is finite, NaN where not
+        np.fill_diagonal(Dp, g - g)
+        diagonals.append(g)
+        residuals[p] = np.linalg.norm(Dp)
     if not np.all(residuals <= DIAG_RESIDUAL_TOL * np.array([np.linalg.norm(A) for A in mats])):
         raise PairingError(
             "off-diagonal residuals "
@@ -348,10 +353,17 @@ def esprit_nd(
     formed; both paths factor the sample matrix once.  The
     report counts the samples at no such sum, which only the coefficient
     fit uses.
+
+    Each large array is dropped after its last read: the sample matrix H
+    once it is factored, its singular vectors once the shift matrices
+    exist, and those once they are paired.  The peak is thus inside the
+    SVD, where H, its Fortran-order factor copy and, when 10K exceeds the
+    shorter side n of H, ``dbdsdc``'s 5n^2 doubles are live.
     """
     opts = options or EspritOptions()
     d = f.domain.dim
     H = build_hankel(f, xi, upsilon)
+    longest, unused = max(H.matrix.shape), H.unused_samples
     masks = [deletion_masks(xi, p) for p in range(1, d + 1)]
     cap = min(len(m.keep_minus) for m in masks)
     if opts.model_order is not None:
@@ -364,7 +376,7 @@ def esprit_nd(
             if K < 1:
                 raise ModelOrderError("selected model order is zero; nothing to recover")
             _check_capacity(K, cap, len(upsilon))
-        if auto_order(s, max(H.matrix.shape) * np.finfo(np.float64).eps) < K:
+        if auto_order(s, longest * np.finfo(np.float64).eps) < K:
             raise ModelOrderError(
                 f"sample matrix has numerical rank below {K}; "
                 "fewer terms are present than requested"
@@ -373,9 +385,12 @@ def esprit_nd(
 
     # the order is chosen between the singular values and the vectors
     svd = lb.truncated_svd(H.matrix, order)
-    s, U = svd.spectrum, svd.U
-    shifts = [_shift_from_masks(U, m) for m in masks]
+    del H
+    s = svd.spectrum
+    shifts = [_shift_from_masks(svd.U, m) for m in masks]
+    del svd
     jd = joint_eig(shifts, opts)
+    del shifts
     zetas = _principal_log(jd.nodes)
     coeffs, cond = _coefficients(f, zetas)
     return EstimationReport(
@@ -384,7 +399,7 @@ def esprit_nd(
         pairing_residuals=jd.off_diag_norms,
         combo_used=jd.alphas,
         coeff_condition=cond,
-        unused_samples=H.unused_samples,
+        unused_samples=unused,
         warnings=_estimate_warnings(jd.eigvec_cond, cond),
     )
 

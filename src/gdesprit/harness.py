@@ -351,13 +351,21 @@ def bundled_spec(name: str, output: str | None = None) -> ExperimentSpec:
     return ExperimentSpec(name=name, output=output, **kwargs)
 
 
+def _grid_fields(xi, upsilon=None, omega=None) -> dict:
+    """The grid fields of an :class:`ExperimentSpec` from a spec file's
+    ``grid``, which may hold these keys only."""
+    return {"xi": xi, "upsilon": upsilon, "omega": omega}
+
+
 def spec_from_dict(data: dict) -> ExperimentSpec:
     """An experiment spec from its JSON form: the fields of :class:`ExperimentSpec`,
     the grid ones under ``grid`` and those of :class:`ModelRecipe` under
-    ``model``.  Defaults are the dataclasses'; a missing or unknown key, or a
-    value they refuse, is a :class:`DomainError`."""
+    ``model``.  Defaults are the dataclasses'; a missing or unknown key, a
+    grid key outside ``grid`` or another key inside it, or a value they
+    refuse, is a :class:`DomainError`."""
     try:
         fields = {**data, "model": ModelRecipe(**data["model"])}
-        return ExperimentSpec(**fields.pop("grid"), **fields)
+        # every grid field is passed, so one given beside ``grid`` is a TypeError
+        return ExperimentSpec(**_grid_fields(**fields.pop("grid")), **fields)
     except (KeyError, TypeError) as exc:
         raise DomainError(f"malformed experiment spec: {exc!r}") from exc

@@ -201,8 +201,10 @@ def _lapack_svd(H: np.ndarray, order) -> tuple[np.ndarray, np.ndarray]:
     work, iwork = np.empty(4 * n), np.empty(8 * n, dtype=np.int64)
     _call(dbdsdc, b"U", b"N", n, s, e.copy(), unused, 1, unused, 1, unused, unused, work, iwork)
     k = _leading(order, s)
+    vectors = _bidiagonal_vectors(d, e, s, k)
+    # allocated after the bidiagonal stage has freed its right vectors and workspace
     U = np.zeros((m, k), dtype=np.complex128, order="F")
-    U[:n] = _bidiagonal_vectors(d, e, s, k)
+    U[:n] = vectors
     _call_with_workspace(zunmbr, b"Q", b"L", b"N", m, k, n, A, m, tauq, U, m)
     return U, s
 

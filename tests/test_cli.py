@@ -151,6 +151,18 @@ class TestSynth:
         assert "not both" in capsys.readouterr().err
         assert not (tmp_path / "s.json").exists()
 
+    def test_model_and_damping_bound_conflict(self, tmp_path, capsys):
+        model_path = tmp_path / "m.json"
+        serialize.dump_json({"dim": 1, "terms": [{"zeta": [[0, 0.5]], "c": [1, 0]}]}, model_path)
+        code = run_cli(
+            "synth", "--grid", "box:5", "--model", str(model_path),
+            "--damping-bound", "0.5", "--out", str(tmp_path / "s.json"),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--damping-bound" in err and "not both" in err
+        assert not (tmp_path / "s.json").exists()
+
     def test_order_required_without_model(self, tmp_path, capsys):
         err = usage_error(capsys, "synth", "--grid", "box:5", "--out", str(tmp_path / "s.json"))
         assert "--model" in err and "--order" in err and "required" in err

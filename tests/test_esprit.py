@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -442,6 +443,26 @@ class TestJointEig:
             joint_eig([eye, eye])
         assert eig_full_calls == [(2, 2)]
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("perturbation", [0.0, 1e-3])
+    def test_equals_all_at_once_formula(self, d, perturbation):
+        # D_p is formed and its diagonal zeroed one dimension at a time; the
+        # nodes and residuals are those of norm(D_p - diag(g)) over all D_p
+        rng = np.random.default_rng(17 + d)
+        nodes = np.exp(1j * rng.uniform(-np.pi, np.pi, (12, d)))
+        mats = [
+            A + perturbation * (rng.standard_normal(A.shape) + 1j * rng.standard_normal(A.shape))
+            for A in self._shared_basis_family(nodes, d)
+        ]
+        jd = joint_eig(mats)
+        eig = linalg_backend.eig_full(sum(a * A for a, A in zip(jd.alphas, mats)))
+        D = [eig.eigvecs_inv @ (A @ eig.eigvecs) for A in mats]
+        diagonals = [np.diag(Dp) for Dp in D]
+        residuals = [np.linalg.norm(Dp - np.diag(g)) for Dp, g in zip(D, diagonals)]
+        np.testing.assert_array_equal(jd.nodes, np.stack(diagonals, axis=1))
+        np.testing.assert_array_equal(jd.off_diag_norms, residuals)
+        assert (jd.off_diag_norms > 0).all()
+
     def test_input_validation(self):
         with pytest.raises(DomainError):
             joint_eig([])
@@ -450,6 +471,25 @@ class TestJointEig:
 
 
 class TestEspritNd:
+    @pytest.mark.skipif(linalg_backend._LAPACK is None, reason="numpy's LAPACK routines not found")
+    def test_peak_memory_at_cube3d_size(self):
+        # each large array dies with its last reader, so the peak is the
+        # SVD's: H, its Fortran-order factor copy and, as 10K > n here,
+        # dbdsdc's two n x n factors and 3n^2 workspace (5n^2 doubles)
+        K, xi = 350, make_box((8, 8, 8))
+        n = len(xi)
+        f = eval_model(exact_model(K, 3, 5), minkowski_sum(xi, xi))
+        options = EspritOptions(model_order=K)
+        esprit_nd(f, xi, xi, options)  # the sets' lookup tables are built and kept
+        tracemalloc.start()
+        try:
+            report = esprit_nd(f, xi, xi, options)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.model.order == K
+        assert peak <= 1.1 * (2 * n * n * 16 + 40 * n * n)
+
     @pytest.mark.parametrize("seed", range(6))
     def test_exact_recovery_2d_box(self, seed):
         K = 6

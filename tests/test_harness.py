@@ -502,6 +502,10 @@ class TestSpecSerialization:
             lambda d: d.update(trails=1),
             lambda d: d["model"].update(seeds=1),
             lambda d: d["grid"].update(omgea={"kind": "box", "widths": [5, 5]}),
+            # grid keys live under grid only, and grid holds nothing else
+            lambda d: d.update(xi=d["grid"].pop("xi")),
+            lambda d: d.update(upsilon=d["grid"].pop("upsilon")),
+            lambda d: d["grid"].update(output="elsewhere"),
             lambda d: d.update(grid=[1]),
             lambda d: d["model"].update(K=0),
             lambda d: d["model"].update(layout="spiral", d=3),
