@@ -15,7 +15,6 @@ Seeds are taken from flags only; the environment is never consulted.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 import time
@@ -157,13 +156,13 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     else:
         specs = [harness.spec_from_dict(serialize.load_json(args.spec))]
     for spec in specs:
-        spec = dataclasses.replace(spec, output=args.out or spec.output or ".")
         start = time.perf_counter()
         results = harness.run_experiment(spec, jobs=args.jobs)
+        csv_path, _ = harness.write_results(spec, results, args.out)
         elapsed = time.perf_counter() - start
         _print_summary(spec, results)
         print(f"  wall time = {elapsed:.1f} s")
-        print(f"results written to {Path(spec.output) / (spec.name + '.csv')}")
+        print(f"results written to {csv_path}")
     return 0
 
 
@@ -252,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=harness.bundled_scenarios(),
         help="run a bundled scenario instead of a spec file (repeatable)",
     )
-    p_exp.add_argument("--out", help="output directory (default: current directory)")
+    p_exp.add_argument("--out", default=".", help="output directory (default: current directory)")
     jobs_help = "parallel worker processes; above 1, set OPENBLAS_NUM_THREADS=1 or it runs slower"
     p_exp.add_argument("--jobs", type=int, default=1, help=jobs_help)
     p_exp.set_defaults(func=cmd_experiment)

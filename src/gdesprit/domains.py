@@ -53,6 +53,9 @@ def _coords(raw, dim: int) -> np.ndarray:
         raise DomainError("an index set must contain at least one point")
     if arr.ndim != 2 or arr.shape[1] != dim:
         raise DomainError(f"points of shape {arr.shape} do not have dimension {dim}")
+    objs = () if isinstance(raw, np.ndarray) else np.asarray(raw, dtype=object).flat
+    if any(isinstance(c, (bool, np.bool_)) for c in objs):  # a list casts a bool to 1 or 0
+        raise DomainError("coordinates must be integers, got a boolean")
     whole = arr.dtype.kind in "fu" and np.all((arr == np.floor(arr)) & (np.abs(arr) < 2.0**63))
     if not (arr.dtype.kind == "i" or whole):
         raise DomainError(f"coordinates must be integers within int64, got {arr.dtype} values")
@@ -167,9 +170,11 @@ class IndexSet:
         Each dimension's small table of axis sums is ranked once and spread
         to the pairs by :func:`_pair_terms`; no coordinate is searched per pair.
         """
+        if not self.dim == a.dim == b.dim:
+            raise DomainError(f"dimension mismatch: set {self.dim}, summands {a.dim} and {b.dim}")
         levels, keys = self._levels
         key, rows, cols, found = 0, 0, 0, True
-        for (squeeze, axis, stride), (av, ar), (bv, br) in zip(levels, a.axes, b.axes, strict=True):
+        for (squeeze, axis, stride), (av, ar), (bv, br) in zip(levels, a.axes, b.axes):
             if squeeze is not None:
                 key, found = _search(squeeze, key + rows + cols, found)
                 rows = cols = 0
@@ -280,8 +285,6 @@ def make_shape(spec: Mapping) -> IndexSet:
         pts = spec.get("points")
         if not isinstance(pts, (list, tuple)) or not pts:
             raise DomainError("mask descriptor needs a nonempty point list")
-        if any(isinstance(c, bool) for p in pts for c in (p if isinstance(p, (list, tuple)) else [p])):
-            raise DomainError("mask coordinates must be integers, got a boolean")
         grid = IndexSet(len(pts[0]) if isinstance(pts[0], (list, tuple)) else 1, pts)
     else:
         raise DomainError(f"unknown grid kind {kind!r}")

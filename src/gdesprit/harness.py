@@ -2,11 +2,12 @@
 
 An :class:`ExperimentSpec` fixes a random-model recipe, a grid layout and a
 noise ladder; :func:`run_experiment` turns it into per-trial matched error
-records, a CSV table and a JSON summary.  Everything is derived from the
-spec's seed, so rerunning an identical spec reproduces the result files
-byte for byte.  Estimation failures inside a trial (the library's typed
-errors and ``LinAlgError``) are recorded in the results instead of aborting
-the run; any other exception is a programming error and propagates.
+records, and only :func:`write_results` writes them (a CSV table and a JSON
+summary).  Everything is derived from the spec's seed, so rerunning an
+identical spec reproduces the result files byte for byte.  Estimation
+failures inside a trial (the library's typed errors and ``LinAlgError``) are
+recorded in the results instead of aborting the run; any other exception is
+a programming error and propagates.
 """
 
 from __future__ import annotations
@@ -67,10 +68,9 @@ class ExperimentSpec:
     omega: dict | None = None
     noise_ratios: tuple[float, ...] = (0.0,)
     trials: int = 20
-    output: str | None = None
 
     def __post_init__(self):
-        # the name becomes a file name under the output directory
+        # the name becomes a file name in write_results' directory
         if not isinstance(self.name, str) or self.name in ("", ".", "..") or {"/", "\\"} & set(self.name):
             raise DomainError(f"experiment name must be a plain file name, got {self.name!r}")
         if (self.upsilon is None) == (self.omega is None):
@@ -205,8 +205,7 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> list[TrialResult]:
     """Run every (trial, noise ratio) cell of a spec deterministically.
 
     Results come back ordered by trial, then by the spec's noise-ratio
-    order.  When the spec names an output path, a CSV table and a JSON
-    summary are written under it; reruns produce identical bytes.
+    order; nothing is written (see :func:`write_results`).
     """
     jobs = _number(jobs, "jobs", integral=True, minimum=1)
     xi, upsilon, omega = resolve_grids(spec)
@@ -217,15 +216,12 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> list[TrialResult]:
             chunks = list(pool.map(_run_trial, *fixed, trials))
     else:
         chunks = [_run_trial(spec, xi, upsilon, omega, t) for t in trials]
-    results = [r for chunk in chunks for r in chunk]
-    if spec.output is not None:
-        write_results(spec, results)
-    return results
+    return [r for chunk in chunks for r in chunk]
 
 
-def write_results(spec: ExperimentSpec, results: list[TrialResult]) -> tuple[Path, Path]:
-    """Write the CSV table and JSON summary for a finished run."""
-    out_dir = Path(spec.output if spec.output is not None else ".")
+def write_results(spec: ExperimentSpec, results: list[TrialResult], out_dir) -> tuple[Path, Path]:
+    """Write a run as ``<out_dir>/<name>.csv`` and ``.json``; reruns give identical bytes."""
+    out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{spec.name}.csv"
     json_path = out_dir / f"{spec.name}.json"
@@ -340,7 +336,7 @@ def bundled_scenarios() -> tuple[str, ...]:
     return tuple(sorted(_SCENARIOS))
 
 
-def bundled_spec(name: str, output: str | None = None) -> ExperimentSpec:
+def bundled_spec(name: str) -> ExperimentSpec:
     """One of the packaged demonstration scenarios by name."""
     try:
         kwargs = dict(_SCENARIOS[name])
@@ -348,7 +344,7 @@ def bundled_spec(name: str, output: str | None = None) -> ExperimentSpec:
         raise DomainError(
             f"unknown scenario {name!r}; available: {', '.join(bundled_scenarios())}"
         ) from None
-    return ExperimentSpec(name=name, output=output, **kwargs)
+    return ExperimentSpec(name=name, **kwargs)
 
 
 def _grid_fields(xi, upsilon=None, omega=None) -> dict:

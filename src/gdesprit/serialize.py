@@ -104,7 +104,7 @@ def load_json(path) -> dict:
             return json.load(fh)
     except FileNotFoundError as exc:
         raise DomainError(f"file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # undecodable bytes too, not only bad JSON
         raise DomainError(f"invalid JSON in {path}: {exc}") from exc
 
 

@@ -392,6 +392,13 @@ class TestEstimate:
         assert code == 2
         assert "not found" in capsys.readouterr().err
 
+    def test_undecodable_sample_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe")  # not UTF-8
+        code = run_cli("estimate", str(bad), "--xi", "box:3,3", "--erode", "--order", "2")
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: invalid JSON in {bad}")
+
 
 class TestExperiment:
     @staticmethod
@@ -416,8 +423,16 @@ class TestExperiment:
         assert code == 0
         out = capsys.readouterr().out
         assert "cli_exp: 6 runs, 0 failed" in out
+        assert out.endswith(f"results written to {out_dir / 'cli_exp.csv'}\n")
         assert (out_dir / "cli_exp.csv").exists()
         assert (out_dir / "cli_exp.json").exists()
+
+    def test_default_out_is_the_working_directory(self, tmp_path, capsys, monkeypatch):
+        spec_path = self._spec_file(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("experiment", str(spec_path)) == 0
+        assert capsys.readouterr().out.endswith("results written to cli_exp.csv\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cli_exp.csv", "cli_exp.json", "spec.json"]
 
     def test_summary_per_noise_ratio(self, tmp_path, capsys):
         run_cli("experiment", str(self._spec_file(tmp_path)), "--out", str(tmp_path))
@@ -493,8 +508,9 @@ class TestExperiment:
             lambda d: d["model"].update(K="abc"),
             lambda d: d.update(trials="two"),
             lambda d: d.update(trails=1),  # a misspelled key is refused, not ignored
+            lambda d: d.update(output="elsewhere"),  # only --out says where results go
         ],
-        ids=["K", "trials", "trails"],
+        ids=["K", "trials", "trails", "output"],
     )
     def test_malformed_spec_is_an_input_error(self, tmp_path, capsys, mutate):
         code = run_cli("experiment", str(self._spec_file(tmp_path, mutate)), "--out", str(tmp_path))
@@ -579,6 +595,12 @@ class TestDomainInfo:
         assert not out.exists()
         assert run_cli("domain-info", f"mask:{mask}") == 2
         assert capsys.readouterr().err.count("error:") == 2
+
+    def test_undecodable_grid_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe")  # not UTF-8
+        assert run_cli("domain-info", str(bad)) == 2
+        assert capsys.readouterr().err.startswith(f"error: invalid JSON in {bad}")
 
     def test_too_many_grids(self, capsys):
         code = run_cli("domain-info", "box:2", "box:2", "box:2")

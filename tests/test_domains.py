@@ -138,6 +138,14 @@ class TestIndexSet:
     def test_rejects_boolean_coordinates(self):
         with pytest.raises(DomainError):
             IndexSet(2, np.array([[True, False]]))
+        # a list would cast a bool among numbers to 1 or 0
+        for pts in ([(True, 1)], [(0, 0), (1, np.True_)]):
+            with pytest.raises(DomainError, match="got a boolean"):
+                IndexSet(2, pts)
+        with pytest.raises(DomainError, match="got a boolean"):
+            make_box((3, 3), offset=[True, 0])
+        assert (True, 1) not in make_box((3, 3))
+        assert (1, 1) in make_box((3, 3))
         for pts in ([[True, False]], [[True, 2], [0, 1]], [False, 1]):
             with pytest.raises(DomainError):
                 make_shape({"kind": "mask", "points": pts})
@@ -208,6 +216,11 @@ class TestLocate:
     def test_wrong_number_of_coordinate_arrays(self):
         with pytest.raises(DomainError):
             make_box((2, 2)).locate([np.array([0])])
+
+    @pytest.mark.parametrize("a, b", [((2,), (2, 2)), ((2, 2), (2,)), ((2, 2, 2), (2, 2, 2))])
+    def test_sums_of_another_dimension(self, a, b):
+        with pytest.raises(DomainError, match="dimension mismatch"):
+            make_box((4, 4)).locate_sums(make_box(a), make_box(b))
 
     def test_key_count_beyond_int64(self):
         # three points that together differ in all 64 coordinates: the keys

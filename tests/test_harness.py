@@ -30,7 +30,7 @@ from gdesprit.harness import (
 )
 
 
-def small_spec(name="unit", *, trials=3, noise_ratios=(0.0, 1e-2), output=None, K=3, xi_widths=(3, 3)):
+def small_spec(name="unit", *, trials=3, noise_ratios=(0.0, 1e-2), K=3, xi_widths=(3, 3)):
     return ExperimentSpec(
         name=name,
         model=ModelRecipe(layout="uniform_imag", K=K, d=len(xi_widths), seed=7),
@@ -38,7 +38,6 @@ def small_spec(name="unit", *, trials=3, noise_ratios=(0.0, 1e-2), output=None, 
         upsilon={"dim": len(xi_widths), "kind": "box", "widths": [3] * len(xi_widths)},
         noise_ratios=noise_ratios,
         trials=trials,
-        output=output,
     )
 
 
@@ -228,26 +227,29 @@ class TestRunExperiment:
             assert a.coeff_rel_error == b.coeff_rel_error
 
     # a recipe random_model refuses fails when the spec is built, before any run
-    def test_negative_damping_bound_writes_nothing(self, tmp_path):
+    def test_negative_damping_bound_writes_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         with pytest.raises(DomainError, match="damping_bound must be nonnegative"):
             dataclasses.replace(
-                small_spec(output=str(tmp_path)),
+                small_spec(),
                 model=ModelRecipe(layout="random_complex", K=3, d=2, seed=7, damping_bound=-0.5),
             )
         assert list(tmp_path.iterdir()) == []
 
-    def test_damping_bound_on_undamped_layout_writes_nothing(self, tmp_path):
+    def test_damping_bound_on_undamped_layout_writes_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         with pytest.raises(DomainError, match="the uniform_imag layout is undamped"):
             dataclasses.replace(
-                small_spec(output=str(tmp_path)),
+                small_spec(),
                 model=ModelRecipe(layout="uniform_imag", K=3, d=2, seed=7, damping_bound=0.5),
             )
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("jobs", [0, 2.5])
-    def test_jobs_must_be_a_positive_integer(self, tmp_path, jobs):
+    def test_jobs_must_be_a_positive_integer(self, tmp_path, monkeypatch, jobs):
+        monkeypatch.chdir(tmp_path)
         with pytest.raises(DomainError, match="jobs must be"):
-            run_experiment(small_spec(output=str(tmp_path)), jobs=jobs)
+            run_experiment(small_spec(), jobs=jobs)
         assert list(tmp_path.iterdir()) == []
 
     def test_parallel_run_matches_serial(self):
@@ -292,20 +294,28 @@ class TestRunExperiment:
         assert results[0].error == "LinAlgError: SVD did not converge"
 
     def test_output_files_written_and_stable(self, tmp_path):
-        spec = small_spec(output=str(tmp_path))
-        run_experiment(spec)
+        spec = small_spec()
+        write_results(spec, run_experiment(spec), tmp_path)
         csv_path = tmp_path / "unit.csv"
         json_path = tmp_path / "unit.json"
         assert csv_path.exists() and json_path.exists()
         first = (csv_path.read_bytes(), json_path.read_bytes())
-        run_experiment(spec)
+        write_results(spec, run_experiment(spec), tmp_path)
         assert (csv_path.read_bytes(), json_path.read_bytes()) == first
+
+    def test_run_writes_nothing(self, tmp_path, monkeypatch):
+        # results reach files only through write_results
+        monkeypatch.chdir(tmp_path)
+        run_experiment(small_spec(trials=1), jobs=2)
+        run_experiment(small_spec(K=3, xi_widths=(2, 2), trials=1))  # failures too
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestWriteResults:
     def test_csv_schema(self, tmp_path):
-        spec = small_spec(output=str(tmp_path))
+        spec = small_spec()
         results = run_experiment(spec)
+        write_results(spec, results, tmp_path)
         with (tmp_path / "unit.csv").open() as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == list(CSV_COLUMNS)
@@ -316,8 +326,9 @@ class TestWriteResults:
         assert float(body[0][3]) == results[0].lambda_errors[0]
 
     def test_json_schema(self, tmp_path):
-        spec = small_spec(output=str(tmp_path))
+        spec = small_spec()
         results = run_experiment(spec)
+        write_results(spec, results, tmp_path)
         data = json.loads((tmp_path / "unit.json").read_text())
         assert data["name"] == "unit"
         assert data["model"]["K"] == spec.model.K
@@ -329,8 +340,8 @@ class TestWriteResults:
         assert len(entry["singular_values"]) == len(results[0].singular_values)
 
     def test_failed_rows_serialized_with_nan_and_null(self, tmp_path):
-        spec = small_spec(K=3, xi_widths=(2, 2), trials=1, output=str(tmp_path))
-        run_experiment(spec)
+        spec = small_spec(K=3, xi_widths=(2, 2), trials=1)
+        write_results(spec, run_experiment(spec), tmp_path)
         data = json.loads((tmp_path / "unit.json").read_text())
         entry = data["results"][0]
         assert entry["failed"] is True
@@ -341,11 +352,12 @@ class TestWriteResults:
         assert all(r[3] == "nan" for r in rows[1:])
 
     def test_write_results_returns_paths(self, tmp_path):
-        spec = small_spec(trials=1, noise_ratios=(0.0,), output=str(tmp_path))
-        results = run_experiment(spec)
-        csv_path, json_path = write_results(spec, results)
-        assert csv_path.name == "unit.csv"
-        assert json_path.name == "unit.json"
+        spec = small_spec(trials=1, noise_ratios=(0.0,))
+        out_dir = tmp_path / "new" / "dir"  # created on demand
+        csv_path, json_path = write_results(spec, run_experiment(spec), out_dir)
+        assert csv_path == out_dir / "unit.csv"
+        assert json_path == out_dir / "unit.json"
+        assert sorted(out_dir.iterdir()) == [csv_path, json_path]
 
 
 class TestSingularValueTable:
@@ -413,10 +425,6 @@ class TestBundledScenarios:
             assert len(omega) >= len(xi)
             assert len(upsilon) >= 1
 
-    def test_output_wired_through(self, tmp_path):
-        spec = bundled_spec("fig1_small", output=str(tmp_path))
-        assert spec.output == str(tmp_path)
-
     def test_unknown_scenario(self):
         with pytest.raises(DomainError, match="fig1"):
             bundled_spec("nope")
@@ -436,9 +444,7 @@ def small_spec_dict():
 
 class TestSpecSerialization:
     def test_round_trip_explicit_columns(self):
-        data = small_spec_dict()
-        data["output"] = "/tmp/somewhere"
-        assert spec_from_dict(data) == small_spec(output="/tmp/somewhere")
+        assert spec_from_dict(small_spec_dict()) == small_spec()
 
     def test_round_trip_erosion_form(self):
         spec = ExperimentSpec(
@@ -509,6 +515,8 @@ class TestSpecSerialization:
             lambda d: d.update(grid=[1]),
             lambda d: d["model"].update(K=0),
             lambda d: d["model"].update(layout="spiral", d=3),
+            # where results go is write_results' argument, not a spec field
+            lambda d: d.update(output="elsewhere"),
         ],
     )
     def test_malformed_input(self, mutate):
