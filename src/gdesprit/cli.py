@@ -26,7 +26,7 @@ from . import harness, serialize
 from .domains import _number, capacity, degenerate_fibers, erode, minkowski_sum
 from .errors import INPUT_ERRORS, RUNTIME_ERRORS, DomainError
 from .esprit import EspritOptions, esprit_nd
-from .signal import add_noise, eval_model, random_model
+from .signal import _LAYOUTS, add_noise, eval_model, random_model
 
 USAGE_ERROR = 2
 RUNTIME_ERROR = 1
@@ -69,16 +69,15 @@ def cmd_synth(args: argparse.Namespace) -> int:
     _number(args.seed, "--seed", integral=True, minimum=0)  # as numpy seeds must be
     omega_spec = parse_grid_arg(args.grid)
     omega = serialize.grid_from_spec(omega_spec)
-    if args.model is not None:
-        for flag, value in (("--layout", args.layout), ("--damping-bound", args.damping_bound)):
-            if value is not None:
-                raise DomainError(f"give either --model or {flag}, not both")
-        model = serialize.model_from_dict(serialize.load_json(args.model))
+    recipe = {"layout": args.layout, "damping_bound": args.damping_bound}
+    recipe = {k: v for k, v in recipe.items() if v is not None}  # else random_model's defaults
+    if args.model is None:
+        model = random_model(args.order, omega.dim, np.random.default_rng((args.seed, 0)), **recipe)
+    elif recipe:
+        flag = "--" + next(iter(recipe)).replace("_", "-")
+        raise DomainError(f"give either --model or {flag}, not both")
     else:
-        layout = args.layout if args.layout is not None else "uniform_imag"
-        bound = args.damping_bound if args.damping_bound is not None else 0.0
-        rng = np.random.default_rng((args.seed, 0))
-        model = random_model(args.order, omega.dim, rng, layout=layout, damping_bound=bound)
+        model = serialize.model_from_dict(serialize.load_json(args.model))
     clean = eval_model(model, omega)
     noisy = add_noise(clean, args.noise, np.random.default_rng((args.seed, 1)))
 
@@ -101,11 +100,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         upsilon = erode(f.domain, xi)
     else:
         upsilon = serialize.grid_from_spec(parse_grid_arg(args.upsilon))
-    options = EspritOptions(
-        model_order=args.order,
-        auto_rel_tol=args.auto if args.auto is not None else EspritOptions().auto_rel_tol,
-        combo_seed=args.seed,
-    )
+    cutoff = {} if args.auto is None else {"auto_rel_tol": args.auto}
+    options = EspritOptions(model_order=args.order, combo_seed=args.seed, **cutoff)
     report = esprit_nd(f, xi, upsilon, options)
 
     K = report.model.order
@@ -212,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     source = p_synth.add_mutually_exclusive_group(required=True)
     source.add_argument("--model", help="model JSON file to evaluate")
     source.add_argument("--order", "-K", type=int, help="number of random terms")
-    p_synth.add_argument("--layout", choices=("uniform_imag", "spiral", "random_complex"))
+    p_synth.add_argument("--layout", choices=_LAYOUTS)
     p_synth.add_argument("--damping-bound", type=float)
     p_synth.add_argument("--noise", type=float, default=0.0, help="noise-to-signal ratio")
     p_synth.add_argument("--seed", type=int, default=0)

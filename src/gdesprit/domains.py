@@ -22,6 +22,7 @@ that would leave int64 raises :class:`DomainError` instead of wrapping.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -166,12 +167,13 @@ class IndexSet:
 
     def locate_sums(self, a: IndexSet, b: IndexSet) -> np.ndarray:
         """Positions of the sums ``a[i] + b[j]`` as a ``(len(a), len(b))``
-        array, -1 where absent; the caller checks that they fit in int64.
-        Each dimension's small table of axis sums is ranked once and spread
-        to the pairs by :func:`_pair_terms`; no coordinate is searched per pair.
+        array, -1 where absent; other dimensions, or sums that could leave int64,
+        raise DomainError.  Each dimension's small table of axis sums is ranked
+        once and spread by :func:`_pair_terms`; no coordinate is searched per pair.
         """
         if not self.dim == a.dim == b.dim:
             raise DomainError(f"dimension mismatch: set {self.dim}, summands {a.dim} and {b.dim}")
+        _check_sums(a.bounding_box, b.bounding_box)
         levels, keys = self._levels
         key, rows, cols, found = 0, 0, 0, True
         for (squeeze, axis, stride), (av, ar), (bv, br) in zip(levels, a.axes, b.axes):
@@ -226,15 +228,17 @@ class DeletionMasks:
     keep_plus: np.ndarray
 
 
+def _is_real(value) -> bool:
+    """Whether ``value`` is a Python or numpy int or float within the float range, not a bool."""
+    ok = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    return ok and (not isinstance(value, int) or abs(value) <= sys.float_info.max)
+
+
 def _number(value, what: str, integral: bool = False, minimum=None):
     """``value`` as a float, or as an int where ``integral``; anything but a
     finite real number (a bool, a string, inf, nan, a fraction where a count
     is meant) or a number below ``minimum`` raises DomainError."""
-    ok = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
-    try:
-        ok = ok and math.isfinite(value) and (not integral or float(value).is_integer())
-    except OverflowError:  # an int beyond the float range
-        ok = False
+    ok = _is_real(value) and math.isfinite(value) and (not integral or float(value).is_integer())
     if not ok:
         expected = "an integer" if integral else "a finite number"
         raise DomainError(f"{what} must be {expected}, got {value!r}")

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg_backend as lb
-from .domains import IndexSet, DeletionMasks, _check_sums, _number, _readonly, deletion_masks, make_box
+from .domains import IndexSet, DeletionMasks, _number, _readonly, deletion_masks, make_box
 from .errors import (
     CapacityError,
     CoverageError,
@@ -138,15 +138,10 @@ def build_hankel(f: MdSequence, xi: IndexSet, upsilon: IndexSet) -> GdHankel:
     the block-Hankel matrix induced by the vectorized index.
 
     Every needed sum x + y must be covered by ``f.domain``; the first missing
-    index (scanning rows, then columns) is reported otherwise.  Samples at no
-    sum are counted in ``unused_samples``.
+    index (scanning rows, then columns) is a :class:`CoverageError`.  Samples
+    at no sum are counted in ``unused_samples``.  Grids of another dimension,
+    or sums beyond int64, raise DomainError from ``IndexSet.locate_sums``.
     """
-    d = f.domain.dim
-    if xi.dim != d or upsilon.dim != d:
-        raise DomainError(
-            f"dimension mismatch: samples {d}, rows {xi.dim}, columns {upsilon.dim}"
-        )
-    _check_sums(xi.bounding_box, upsilon.bounding_box)
     idx = f.domain.locate_sums(xi, upsilon)
     if idx.min() < 0:
         n, m = np.argwhere(idx < 0)[0]

@@ -1,8 +1,10 @@
 """JSON interchange for grids, models, samples and reports.
 
-Complex numbers travel as [real, imag] pairs.  Sample values are stored in
-the canonical point order of their grid, so a file round-trip reproduces
-the exact same alignment.
+Complex numbers travel as [real, imag] pairs.  A component must be a Python
+or numpy int or float within the float range, not a bool or a string, as for
+``domains._number`` (which checks a model's ``dim``); NaN and inf pass, for
+the sequence or model to refuse.  Sample values are stored in the canonical
+point order of their grid, so a file round-trip reproduces the same alignment.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 # make_box is not called here; perfbench/tracing.py patches it on this module.
-from .domains import IndexSet, make_box, make_shape
+from .domains import IndexSet, _is_real, make_box, make_shape
 from .errors import DomainError
 from .esprit import EstimationReport
 from .signal import ExponentialModel, MdSequence
@@ -27,12 +29,12 @@ def _pair(z: complex) -> list[float]:
 
 
 def _from_pair(raw) -> complex:
-    if not isinstance(raw, (list, tuple)) or len(raw) != 2:
-        raise DomainError(f"expected a [real, imag] pair, got {raw!r}")
-    try:
-        return complex(float(raw[0]), float(raw[1]))
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"expected a [real, imag] pair of numbers, got {raw!r}") from exc
+    if isinstance(raw, (list, tuple)) and len(raw) == 2:
+        re, im = raw
+        # plain floats first: a sample file holds one pair per point
+        if type(re) is float and type(im) is float or _is_real(re) and _is_real(im):
+            return complex(re, im)
+    raise DomainError(f"expected a [real, imag] pair of numbers, got {raw!r}")
 
 
 def grid_to_spec(grid: IndexSet) -> dict:
@@ -52,7 +54,7 @@ def model_to_dict(model: ExponentialModel) -> dict:
 
 def model_from_dict(data: dict) -> ExponentialModel:
     try:
-        dim = int(data["dim"])
+        dim = data["dim"]  # checked by ExponentialModel
         terms = data["terms"]
         zetas = np.array(
             [[_from_pair(z) for z in term["zeta"]] for term in terms], dtype=np.complex128

@@ -165,8 +165,9 @@ def vandermonde(domain: IndexSet, zetas: np.ndarray) -> np.ndarray:
     estimator calls this right after complex BLAS work.
     """
     z = np.asarray(zetas, dtype=np.complex128)
-    if z.ndim == 1:
-        z = z.reshape(-1, 1)
+    z = z[:, None] if z.ndim == 1 else z  # 1-d zetas are one column
+    if z.shape[1] != domain.dim:
+        raise DomainError(f"dimension mismatch: domain {domain.dim}, zetas {z.shape[1]}")
     for p, (values, rank) in enumerate(domain.axes):
         table = _axis_powers(values, 1j * z.imag[:, p])  # unit-modulus phase factor
         if p == 0:

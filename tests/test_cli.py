@@ -130,6 +130,17 @@ class TestSynth:
         f = serialize.samples_from_dict(serialize.load_json(out))
         np.testing.assert_allclose(f.values, 2.0 * np.exp(0.7j * np.arange(5)), rtol=1e-12)
 
+    def test_fractional_model_dimension_is_an_input_error(self, tmp_path, capsys):
+        model_path = tmp_path / "m.json"
+        # read as dimension 2, this model would be valid
+        model = {"dim": 2.7, "terms": [{"zeta": [[0, 0.5], [0, 0.2]], "c": [1, 0]}]}
+        serialize.dump_json(model, model_path)
+        out = tmp_path / "s.json"
+        code = run_cli("synth", "--grid", "box:5,5", "--model", str(model_path), "--out", str(out))
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: dimension must be an integer, got 2.7")
+        assert not out.exists()
+
     def test_model_and_order_conflict(self, tmp_path, capsys):
         model_path = tmp_path / "m.json"
         serialize.dump_json({"dim": 1, "terms": [{"zeta": [[0, 0.5]], "c": [1, 0]}]}, model_path)
@@ -383,6 +394,21 @@ class TestEstimate:
         )
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_sample_value_beyond_the_float_range(self, tmp_path, capsys):
+        samples_path, _ = synth(tmp_path)
+        data = serialize.load_json(samples_path)
+        data["values"][0] = [10**400, 0]
+        serialize.dump_json(data, samples_path)
+        capsys.readouterr()
+        code = run_cli(
+            "estimate", str(samples_path), "--xi", "box:5,5", "--upsilon", "box:5,5",
+            "--order", "6",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: expected a [real, imag] pair of numbers")
+        assert "Traceback" not in err
 
     def test_missing_sample_file(self, tmp_path, capsys):
         code = run_cli(

@@ -250,6 +250,12 @@ class TestInt64Sums:
         with pytest.raises(DomainError):
             minkowski_sum(a, a)
 
+    def test_locate_sums(self):
+        # 2^62 + 2^62 would wrap onto -2^63, a point of the set
+        s = IndexSet(1, ((-(2**63),), (0,)))
+        with pytest.raises(DomainError, match="beyond int64"):
+            s.locate_sums(IndexSet(1, ((self.big,),)), IndexSet(1, ((self.big,),)))
+
     def test_box(self):
         assert make_box((2,), offset=(2**63 - 2,)).points == ((2**63 - 2,), (2**63 - 1,))
         with pytest.raises(DomainError):

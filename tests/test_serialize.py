@@ -100,6 +100,12 @@ class TestModelRoundTrip:
         with pytest.raises(DomainError):
             model_from_dict(data)
 
+    @pytest.mark.parametrize("dim", [2.7, "2", True])
+    def test_dim_must_be_an_integer(self, dim):
+        data = {"dim": dim, "terms": [{"zeta": [[0, 0.5], [0, 0.2]], "c": [1, 0]}]}
+        with pytest.raises(DomainError, match="dimension must be an integer"):
+            model_from_dict(data)
+
 
 class TestSamplesRoundTrip:
     def test_round_trip_preserves_values_and_grid(self):
@@ -130,9 +136,14 @@ class TestSamplesRoundTrip:
             samples_from_dict({"values": [[0, 0]]})
         with pytest.raises(DomainError):
             samples_from_dict({"grid": {"kind": "box", "widths": [2]}, "values": [[1], [2]]})
-        for pair in (["abc", 1], [None, 0], [[1], 0]):
+        for pair in (["abc", 1], [None, 0], [[1], 0], ["1", 0], [True, 0], [10**400, 0]):
             with pytest.raises(DomainError, match="pair of numbers"):
                 samples_from_dict({"grid": {"kind": "box", "widths": [2]}, "values": [[0, 0], pair]})
+
+    def test_numpy_components_read_as_numbers(self):
+        values = [[np.float64(1.5), np.int32(2)], [3, np.float32(0.5)]]
+        f = samples_from_dict({"grid": {"kind": "box", "widths": [2]}, "values": values})
+        np.testing.assert_array_equal(f.values, [1.5 + 2j, 3 + 0.5j])
 
     def test_length_mismatch_detected(self):
         with pytest.raises(DomainError):

@@ -182,6 +182,12 @@ class TestVandermondeAndEval:
         with pytest.raises(DomainError):
             eval_model(small_model(dim=2), make_box((4,)))
 
+    @pytest.mark.parametrize("widths, columns", [((3, 3), 1), ((3,), 3)])
+    def test_vandermonde_dimension_mismatch(self, widths, columns):
+        message = f"domain {len(widths)}, zetas {columns}"
+        with pytest.raises(DomainError, match=message):
+            vandermonde(make_box(widths), 1j * np.ones((2, columns)))
+
     def test_overflow_raises(self):
         model = ExponentialModel(1, [[60.0 + 0j]], [1.0])
         with pytest.raises(NonFiniteError):
