@@ -9,7 +9,8 @@ argparse mutually exclusive group, so argparse reports a conflict and exits 2.
 Grid arguments use the compact grammar of ``_GRID_HELP`` below, which
 ``gdesprit --help`` prints.
 
-Seeds are taken from flags only; the environment is never consulted.
+Seeds come from ``synth --seed`` and an experiment spec's ``seed``, never the
+environment; ``estimate`` pairs with the library's fixed default draw.
 """
 
 from __future__ import annotations
@@ -101,7 +102,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     else:
         upsilon = serialize.grid_from_spec(parse_grid_arg(args.upsilon))
     cutoff = {} if args.auto is None else {"auto_rel_tol": args.auto}
-    options = EspritOptions(model_order=args.order, combo_seed=args.seed, **cutoff)
+    options = EspritOptions(model_order=args.order, **cutoff)
     report = esprit_nd(f, xi, upsilon, options)
 
     K = report.model.order
@@ -151,9 +152,10 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         specs = [harness.bundled_spec(name) for name in dict.fromkeys(args.scenario)]
     else:
         specs = [harness.spec_from_dict(serialize.load_json(args.spec))]
+    jobs = {} if args.jobs is None else {"jobs": args.jobs}  # else run_experiment's default
     for spec in specs:
         start = time.perf_counter()
-        results = harness.run_experiment(spec, jobs=args.jobs)
+        results = harness.run_experiment(spec, **jobs)
         csv_path, _ = harness.write_results(spec, results, args.out)
         elapsed = time.perf_counter() - start
         _print_summary(spec, results)
@@ -234,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
         const=1e-2,
         help="pick the order from the singular values (optional relative cutoff, default 1e-2)",
     )
-    p_est.add_argument("--seed", type=int, default=0, help="seed for the pairing combination")
     p_est.add_argument("--out", help="report JSON file to write")
     p_est.set_defaults(func=cmd_estimate)
 
@@ -249,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_exp.add_argument("--out", default=".", help="output directory (default: current directory)")
     jobs_help = "parallel worker processes; above 1, set OPENBLAS_NUM_THREADS=1 or it runs slower"
-    p_exp.add_argument("--jobs", type=int, default=1, help=jobs_help)
+    p_exp.add_argument("--jobs", type=int, help=jobs_help)
     p_exp.set_defaults(func=cmd_experiment)
 
     p_info = sub.add_parser("domain-info", help="inspect one or two grids")

@@ -72,6 +72,13 @@ MULTIPLICITY_GAP_REL = 1e-8
 DIAG_RESIDUAL_TOL = 0.9
 
 
+def _cutoff(value, what: str) -> float:
+    value = _number(value, what)
+    if not 0 < value < 1:
+        raise DomainError(f"{what} must lie in (0, 1), got {value}")
+    return value
+
+
 @dataclass
 class EspritOptions:
     """Tuning knobs for the estimators.
@@ -91,9 +98,7 @@ class EspritOptions:
     def __post_init__(self):
         if self.model_order is not None:
             self.model_order = _number(self.model_order, "the model order", integral=True, minimum=1)
-        self.auto_rel_tol = _number(self.auto_rel_tol, "auto_rel_tol")
-        if not 0 < self.auto_rel_tol < 1:
-            raise DomainError(f"auto_rel_tol must lie in (0, 1), got {self.auto_rel_tol}")
+        self.auto_rel_tol = _cutoff(self.auto_rel_tol, "auto_rel_tol")
         # numpy seed sequences take nonnegative integers only
         self.combo_seed = _number(self.combo_seed, "combo_seed", integral=True, minimum=0)
 
@@ -158,8 +163,7 @@ def build_hankel(f: MdSequence, xi: IndexSet, upsilon: IndexSet) -> GdHankel:
 
 def auto_order(singular_values: np.ndarray, rel_tol: float) -> int:
     """Largest K with sigma_K >= rel_tol * sigma_1 (spectrum given descending)."""
-    if not 0 < rel_tol < 1:
-        raise DomainError(f"rel_tol must lie in (0, 1), got {rel_tol}")
+    rel_tol = _cutoff(rel_tol, "rel_tol")
     s = np.asarray(singular_values, dtype=np.float64).ravel()
     if s.size == 0:
         raise DomainError("empty singular value sequence")

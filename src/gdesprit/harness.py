@@ -40,7 +40,7 @@ class ModelRecipe:
     K: int
     d: int
     seed: int
-    damping_bound: float = 0.0
+    damping_bound: float = 0.0  # recipes may omit it; asdict writes it into every result JSON
 
     def __post_init__(self):
         # random_model's rule, so a bad recipe fails here and not at trial 0

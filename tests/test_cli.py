@@ -8,7 +8,7 @@ import json
 import numpy as np
 import pytest
 
-from gdesprit import linalg_backend, serialize
+from gdesprit import harness, linalg_backend, serialize
 from gdesprit.cli import main, parse_grid_arg
 from gdesprit.domains import erode, make_box, make_shape, minkowski_sum
 from gdesprit.errors import DomainError
@@ -353,15 +353,14 @@ class TestEstimate:
         err = usage_error(capsys, "estimate", str(samples_path), "--xi", "box:5,5", *extra)
         assert all(flag in err for flag in flags)
 
-    def test_negative_seed_is_a_usage_error(self, tmp_path, capsys):
+    def test_seed_is_not_an_option(self, tmp_path, capsys):
+        # the pairing draw is EspritOptions' fixed default; no flag picks another
         samples_path, _ = synth(tmp_path)
-        capsys.readouterr()
-        code = run_cli(
-            "estimate", str(samples_path), "--xi", "box:5,5", "--upsilon", "box:5,5",
-            "--order", "6", "--seed", "-1",
+        err = usage_error(
+            capsys, "estimate", str(samples_path), "--xi", "box:5,5", "--upsilon", "box:5,5",
+            "--order", "6", "--seed", "1",
         )
-        assert code == 2
-        assert capsys.readouterr().err.startswith("error: combo_seed must be nonnegative")
+        assert err.endswith("unrecognized arguments: --seed 1")
 
     def test_capacity_violation_exit_code(self, tmp_path, capsys):
         samples_path, _ = synth(tmp_path, order=6)
@@ -567,6 +566,18 @@ class TestExperiment:
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: jobs must be at least 1, got {jobs}")
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("flags, passed", [((), {}), (("--jobs", "2"), {"jobs": 2})])
+    def test_jobs_passed_on_only_when_given(self, tmp_path, monkeypatch, flags, passed):
+        calls = []
+
+        def record(spec, **kwargs):
+            calls.append(kwargs)
+            return []
+
+        monkeypatch.setattr(harness, "run_experiment", record)
+        assert run_cli("experiment", "--scenario", "fig1_small", "--out", str(tmp_path), *flags) == 0
+        assert calls == [passed]
 
     def test_name_cannot_leave_the_output_directory(self, tmp_path, capsys):
         base = tmp_path / "a" / "b"

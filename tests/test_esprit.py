@@ -610,10 +610,15 @@ class TestEspritNd:
         report = esprit_nd(f, xi, upsilon, EspritOptions(model_order=1))
         assert report.model.zetas[0, 0].imag == pytest.approx(2.0, abs=1e-12)
 
-    def test_capacity_checked_before_decomposition(self):
+    def test_capacity_checked_before_decomposition(self, monkeypatch):
         xi = make_box((3, 3))
         upsilon = make_box((3, 3))
         f = MdSequence(minkowski_sum(xi, upsilon), np.ones(25))
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("the SVD ran before the capacity check")
+
+        monkeypatch.setattr(linalg_backend, "truncated_svd", no_svd)
         with pytest.raises(CapacityError) as err:
             esprit_nd(f, xi, upsilon, EspritOptions(model_order=7))
         assert err.value.capacity == 6

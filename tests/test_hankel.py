@@ -263,6 +263,6 @@ class TestRankProfile:
 
     def test_invalid_tolerance(self):
         spectrum = truncated_svd(np.eye(2)).spectrum
-        for rel_tol in (0.0, 1.5):
+        for rel_tol in (0.0, 1.5, "x", None, [0.5]):
             with pytest.raises(DomainError):
                 auto_order(spectrum, rel_tol)
