@@ -146,8 +146,12 @@ def build_hankel(f: MdSequence, xi: IndexSet, upsilon: IndexSet) -> GdHankel:
     index (scanning rows, then columns) is a :class:`CoverageError`.  Samples
     at no sum are counted in ``unused_samples``.  Grids of another dimension,
     or sums beyond int64, raise DomainError from ``IndexSet.locate_sums``.
+
+    H is gathered as the C-order |Upsilon| x |Xi| matrix of its transpose,
+    so ``matrix`` is a fresh, writable, Fortran-order array: the column-major
+    layout LAPACK factors in place, made with no transpose copy.
     """
-    idx = f.domain.locate_sums(xi, upsilon)
+    idx = f.domain.locate_sums(upsilon, xi).T  # a view of the C-order lookup
     if idx.min() < 0:
         n, m = np.argwhere(idx < 0)[0]
         missing = tuple((xi.as_array[n] + upsilon.as_array[m]).tolist())
@@ -156,9 +160,7 @@ def build_hankel(f: MdSequence, xi: IndexSet, upsilon: IndexSet) -> GdHankel:
     used = np.zeros(len(f.domain), dtype=bool)
     used[idx] = True
     unused = len(f.domain) - int(np.count_nonzero(used))
-    matrix = f.values[idx]
-    matrix.setflags(write=False)  # a fresh gather: no second copy of H
-    return GdHankel(matrix=matrix, unused_samples=unused)
+    return GdHankel(matrix=f.values[idx.T].T, unused_samples=unused)
 
 
 def auto_order(singular_values: np.ndarray, rel_tol: float) -> int:
@@ -354,10 +356,12 @@ def esprit_nd(
     fit uses.
 
     Each large array is dropped after its last read: the sample matrix H
-    once it is factored, its singular vectors once the shift matrices
-    exist, and those once they are paired.  The peak is thus inside the
-    SVD, where H, its Fortran-order factor copy and, when 10K exceeds the
-    shorter side n of H, ``dbdsdc``'s 5n^2 doubles are live.
+    once it is factored (in its own buffer, which nothing reads after the
+    SVD), its singular vectors once the shift matrices exist, and those
+    once they are paired.  One copy of H is ever live, so the peak is H
+    beside its int64 lookup in :func:`build_hankel`, or H and, when 10K
+    exceeds the shorter side n of H, ``dbdsdc``'s 5n^2 doubles inside the
+    SVD, or, when K is near n, the pairing's K x K eigendecomposition.
     """
     opts = options or EspritOptions()
     d = f.domain.dim
@@ -382,8 +386,9 @@ def esprit_nd(
             )
         return K
 
-    # the order is chosen between the singular values and the vectors
-    svd = lb.truncated_svd(H.matrix, order)
+    # the order is chosen between the singular values and the vectors; the
+    # SVD factors H in its own buffer, so nothing reads H after this call
+    svd = lb.truncated_svd(H.matrix, order, overwrite_a=True)
     del H
     s = svd.spectrum
     shifts = [_shift_from_masks(svd.U, m) for m in masks]

@@ -19,7 +19,6 @@ from itertools import repeat
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .domains import IndexSet, _number, erode, minkowski_sum
 from .errors import INPUT_ERRORS, RUNTIME_ERRORS, DomainError
@@ -114,6 +113,9 @@ def match_frequencies(true_nodes: np.ndarray, est_nodes: np.ndarray) -> Frequenc
     total cost.  Per-pair errors are reported both in node space and as
     frequency differences with wrapped imaginary parts.
     """
+    # imported here, so that estimating or synthesizing never loads scipy
+    from scipy.optimize import linear_sum_assignment
+
     t = np.asarray(true_nodes, dtype=np.complex128)
     e = np.asarray(est_nodes, dtype=np.complex128)
     if t.ndim == 1:

@@ -177,8 +177,8 @@ def _bidiagonal_vectors(d: np.ndarray, e: np.ndarray, s: np.ndarray, k: int) -> 
     return Ub[:, :k]
 
 
-def _lapack_svd(H: np.ndarray, order) -> tuple[np.ndarray, np.ndarray]:
-    """Bidiagonal route for a tall or square H (rows >= columns).
+def _lapack_svd(H: np.ndarray, order, overwrite_a: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Bidiagonal route for a tall or square complex128 H (rows >= columns).
 
     ``zgebrd`` reduces H = Q B P^* with B real upper bidiagonal (Golub &
     Kahan, SIAM J. Numer. Anal. B 2(2), 1965); ``dbdsdc`` without vectors
@@ -187,10 +187,15 @@ def _lapack_svd(H: np.ndarray, order) -> tuple[np.ndarray, np.ndarray]:
     alone of a square H; :func:`_bidiagonal_vectors` gives the K leading
     left singular vectors of B, and ``zunmbr`` applies Q to those only.
     The right vectors of H are never formed.
+
+    ``zgebrd`` overwrites its input with the Householder vectors of Q and P,
+    which ``zunmbr`` reads back.  With ``overwrite_a`` a writable
+    Fortran-contiguous H is that input; any other H is copied first.
     """
     zgebrd, dbdsdc, zunmbr, _ = _LAPACK
     m, n = H.shape
-    A = np.array(H, dtype=np.complex128, order="F")
+    in_place = overwrite_a and H.flags.f_contiguous and H.flags.writeable
+    A = H if in_place else np.array(H, order="F")
     d, e = np.empty(n), np.empty(max(n - 1, 1))
     tauq, taup = np.empty(n, dtype=np.complex128), np.empty(n, dtype=np.complex128)
     _call_with_workspace(zgebrd, m, n, A, m, d, e, tauq, taup)
@@ -210,7 +215,10 @@ def _lapack_svd(H: np.ndarray, order) -> tuple[np.ndarray, np.ndarray]:
 
 
 def truncated_svd(
-    matrix: np.ndarray, order: int | Callable[[np.ndarray], int] | None = None
+    matrix: np.ndarray,
+    order: int | Callable[[np.ndarray], int] | None = None,
+    *,
+    overwrite_a: bool = False,
 ) -> SvdResult:
     """Leading left singular vectors and all singular values of a dense
     complex matrix.
@@ -226,6 +234,12 @@ def truncated_svd(
     Square and tall H then go to the bidiagonal route of
     :func:`_lapack_svd`, or to ``np.linalg.svd`` where numpy's LAPACK
     routines were not found; both raise ``LinAlgError`` when LAPACK fails.
+
+    ``overwrite_a`` has scipy's meaning: the caller gives up ``matrix`` and
+    reads nothing of it afterwards.  The bidiagonal route then factors a
+    tall or square, writable, Fortran-contiguous complex128 ``matrix`` in
+    place, so H is held once.  Any other input, and every input without
+    the flag, is copied first and left as it was.
     """
     H = np.asarray(matrix, dtype=np.complex128)
     if H.ndim != 2 or H.size == 0:
@@ -233,7 +247,7 @@ def truncated_svd(
     if H.shape[1] > H.shape[0]:
         H = np.linalg.qr(H.conj().T, mode="r").conj().T
     if _LAPACK is not None:
-        U, s = _lapack_svd(H, order)
+        U, s = _lapack_svd(H, order, overwrite_a and H is matrix)
     else:
         U, s, _ = np.linalg.svd(H, full_matrices=False)
         U = U[:, : _leading(order, s)]

@@ -43,6 +43,7 @@ from gdesprit.linalg_backend import lstsq_minimum_norm, truncated_svd
 from gdesprit.signal import (
     ExponentialModel,
     MdSequence,
+    add_noise,
     eval_model,
     random_model,
     vandermonde,
@@ -472,10 +473,31 @@ class TestJointEig:
 
 class TestEspritNd:
     @pytest.mark.skipif(linalg_backend._LAPACK is None, reason="numpy's LAPACK routines not found")
+    def test_peak_memory_at_noise_ladder_size(self):
+        # zgebrd factors H in the buffer build_hankel gathered it into, so
+        # one copy of H is live: the peak is H beside its int64 lookup
+        # (1.5 H.nbytes), not H and a copy for the factorization (2.2)
+        K, xi = 40, make_box((21, 21))
+        n = len(xi)
+        f = eval_model(exact_model(K, 2, 11), minkowski_sum(xi, xi))
+        f = add_noise(f, 1e-3, np.random.default_rng(11))
+        options = EspritOptions(model_order=K)
+        esprit_nd(f, xi, xi, options)  # the sets' lookup tables are built and kept
+        tracemalloc.start()
+        try:
+            report = esprit_nd(f, xi, xi, options)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.model.order == K
+        assert peak <= 1.7 * n * n * 16
+
+    @pytest.mark.skipif(linalg_backend._LAPACK is None, reason="numpy's LAPACK routines not found")
     def test_peak_memory_at_cube3d_size(self):
-        # each large array dies with its last reader, so the peak is the
-        # SVD's: H, its Fortran-order factor copy and, as 10K > n here,
-        # dbdsdc's two n x n factors and 3n^2 workspace (5n^2 doubles)
+        # each large array dies with its last reader; the bound is two copies
+        # of H beside dbdsdc's two n x n factors and 3n^2 workspace (5n^2
+        # doubles, as 10K > n here), though with H factored in place the
+        # peak now sits in the pairing's K x K eigendecomposition
         K, xi = 350, make_box((8, 8, 8))
         n = len(xi)
         f = eval_model(exact_model(K, 3, 5), minkowski_sum(xi, xi))

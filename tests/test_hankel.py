@@ -209,11 +209,23 @@ class TestBuildHankel:
         with pytest.raises(DomainError):
             build_hankel(f, make_box((2,)), make_box((2, 2)))
 
-    def test_matrix_read_only(self):
-        f = sampled_on(make_box((3,)), 0)
-        H = build_hankel(f, make_box((2,)), make_box((2,)))
-        with pytest.raises(ValueError):
-            H.matrix[0, 0] = 0
+    def test_matrix_is_a_fresh_fortran_order_buffer(self):
+        # the layout zgebrd factors in place; the gather owns it, so writing
+        # into it leaves the samples as they were
+        f = sampled_on(make_box((6,)), 0)
+        samples = f.values.copy()
+        H = build_hankel(f, make_box((2,)), make_box((5,)))
+        assert H.matrix.flags.f_contiguous and H.matrix.flags.writeable
+        H.matrix[:] = 0
+        np.testing.assert_array_equal(f.values, samples)
+
+    def test_first_missing_sum_scans_rows_then_columns(self):
+        # sums [[0, 5, 10], [1, 6, 11]] with 10 and 1 missing: a row scan
+        # meets 10 first, a column scan would meet 1
+        omega = IndexSet(1, (0, 5, 6, 11))
+        with pytest.raises(CoverageError) as err:
+            build_hankel(sampled_on(omega), IndexSet(1, (0, 1)), IndexSet(1, (0, 5, 10)))
+        assert err.value.missing == (10,)
 
 
 class TestRankProfile:

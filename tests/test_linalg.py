@@ -189,6 +189,29 @@ class TestTruncatedSvd:
         with pytest.raises(np.linalg.LinAlgError):
             truncated_svd(H, 1)
 
+    @pytest.mark.parametrize("shape", [(40, 40), (60, 25), (25, 60)])
+    def test_overwrite_a_gives_the_default_result(self, shape):
+        # square, tall and wide (the R-SVD path)
+        H = np.asfortranarray(random_complex(np.random.default_rng(7), *shape))
+        kept = H.copy()
+        default = truncated_svd(H, 5)
+        np.testing.assert_array_equal(H, kept)
+        given_up = truncated_svd(H, 5, overwrite_a=True)
+        np.testing.assert_array_equal(given_up.U, default.U)
+        np.testing.assert_array_equal(given_up.spectrum, default.spectrum)
+
+    def test_overwrite_a_copies_what_it_cannot_factor_in_place(self):
+        H = random_complex(np.random.default_rng(9), 30, 20)
+        kept = H.copy()
+        read_only = np.asfortranarray(H)
+        read_only.setflags(write=False)
+        default = truncated_svd(H, 3)
+        for A in (H, read_only):  # C order, then read-only
+            svd = truncated_svd(A, 3, overwrite_a=True)
+            np.testing.assert_array_equal(A, kept)
+            np.testing.assert_array_equal(svd.U, default.U)
+            np.testing.assert_array_equal(svd.spectrum, default.spectrum)
+
 
 @pytest.mark.usefixtures("svd_fallback")
 class TestTruncatedSvdFallback(TestTruncatedSvd):
@@ -282,6 +305,15 @@ def test_unconverged_inverse_iteration_falls_back(monkeypatch):
     svd = truncated_svd(H, 8)
     np.testing.assert_array_equal(svd.U, divide_and_conquer.U)
     np.testing.assert_array_equal(svd.spectrum, divide_and_conquer.spectrum)
+
+
+@lapack_route
+def test_overwrite_a_factors_in_place():
+    # zgebrd's Householder vectors now fill the caller's buffer: no copy was made
+    H = np.asfortranarray(random_complex(np.random.default_rng(10), 30, 20))
+    kept = H.copy()
+    truncated_svd(H, 3, overwrite_a=True)
+    assert not np.array_equal(H, kept)
 
 
 @lapack_route
