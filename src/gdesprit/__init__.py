@@ -51,7 +51,7 @@ from .harness import (
     run_experiment,
     singular_value_table,
 )
-from .linalg_backend import EigResult, SvdResult, eig_full, lstsq, truncated_svd
+from .linalg_backend import SvdResult, eig_full, lstsq, truncated_svd
 from .signal import (
     ExponentialModel,
     MdSequence,
@@ -70,7 +70,6 @@ __all__ = [
     "DegenerateFiberError",
     "DeletionMasks",
     "DomainError",
-    "EigResult",
     "EspritOptions",
     "EstimationReport",
     "ExperimentSpec",

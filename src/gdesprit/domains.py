@@ -249,11 +249,19 @@ def _number(value, what: str, integral: bool = False, minimum=None):
     return value
 
 
+def _check_size(count: int, dim: int, what: str) -> None:
+    """Raise DomainError if ``count`` points of dimension ``dim``, as one
+    int64 array, exceed the bytes an array can address."""
+    if count * dim * 8 > np.iinfo(np.intp).max:
+        raise DomainError(f"{what} has more lattice points than one array can hold")
+
+
 def make_box(widths: Sequence[int], offset: Sequence[int] | None = None) -> IndexSet:
     """Full box with the given per-dimension widths, anchored at ``offset``."""
     widths = tuple(_number(w, "a box width", integral=True, minimum=1) for w in widths)
     if not widths:
         raise DomainError("a box needs at least one width")
+    _check_size(math.prod(widths), len(widths), f"the box {list(widths)}")
     off = np.zeros(len(widths), np.int64) if offset is None else _coords((offset,), len(widths))[0]
     _check_sums((off, off), ([0] * len(widths), [w - 1 for w in widths]))
     return IndexSet(len(widths), np.indices(widths).reshape(len(widths), -1).T + off)
@@ -278,10 +286,13 @@ def make_shape(spec: Mapping) -> IndexSet:
         grid = make_box(widths, spec.get("offset"))
     elif kind == "triangle":
         side = _number(spec.get("side"), "the triangle side", integral=True, minimum=1)
+        _check_size(side * (side + 1) // 2, 2, f"the triangle of side {side}")
         grid = IndexSet(2, [(i, j) for j in range(1, side + 1) for i in range(1, side + 2 - j)])
     elif kind == "half_disc":
         radius = _number(spec.get("radius"), "the half_disc radius", minimum=0)
         rmax = int(np.floor(radius))
+        # the candidates i in [-rmax, rmax], j in [0, rmax] are built first
+        _check_size((rmax + 1) * (2 * rmax + 1), 2, f"the half_disc of radius {radius}")
         i, j = np.meshgrid(np.arange(-rmax, rmax + 1), np.arange(rmax + 1))
         inside = i * i + j * j <= radius**2  # never empty: (0, 0) is inside
         grid = IndexSet(2, np.stack([i[inside], j[inside]], axis=1))

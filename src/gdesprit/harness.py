@@ -111,7 +111,8 @@ def match_frequencies(true_nodes: np.ndarray, est_nodes: np.ndarray) -> Frequenc
     The matching cost between two node vectors is the maximum over
     dimensions of the node difference modulus; the assignment minimizes the
     total cost.  Per-pair errors are reported both in node space and as
-    frequency differences with wrapped imaginary parts.
+    frequency differences with wrapped imaginary parts, so every node must
+    be finite and nonzero.
     """
     # imported here, so that estimating or synthesizing never loads scipy
     from scipy.optimize import linear_sum_assignment
@@ -124,6 +125,8 @@ def match_frequencies(true_nodes: np.ndarray, est_nodes: np.ndarray) -> Frequenc
         e = e.reshape(-1, 1)
     if t.shape != e.shape:
         raise DomainError(f"node sets differ in shape: {t.shape} vs {e.shape}")
+    if not (np.isfinite(t).all() and np.isfinite(e).all() and t.all() and e.all()):
+        raise DomainError("nodes must be finite and nonzero")
     cost = np.abs(t[:, None, :] - e[None, :, :]).max(axis=2)
     rows, cols = linear_sum_assignment(cost)
     assignment = np.empty(t.shape[0], dtype=np.int64)

@@ -81,16 +81,6 @@ class SvdResult:
     spectrum: np.ndarray
 
 
-@dataclass(frozen=True)
-class EigResult:
-    """Eigendecomposition A = B^{-1} diag(eigenvalues) B."""
-
-    eigenvalues: np.ndarray
-    eigvecs: np.ndarray  # right eigenvectors as columns, B^{-1} up to rounding
-    eigvecs_inv: np.ndarray  # the matrix B
-    eigvec_cond: float  # 1-norm condition number ||V||_1 ||B||_1
-
-
 def _run(routine, *args) -> int:
     """Call a LAPACK routine of :func:`_lapack_routines` with ``info``
     appended, and return ``info``: one-character strings as they are, ints
@@ -254,26 +244,22 @@ def truncated_svd(
     return SvdResult(U=_readonly(U), spectrum=_readonly(s))
 
 
-def eig_full(matrix: np.ndarray) -> EigResult:
-    """Dense eigendecomposition of a square matrix.
+def eig_full(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Dense eigendecomposition A = V diag(lambda) B of a square matrix.
 
-    Also returns the condition number of the eigenvector matrix V, which is
-    large or non-finite on numerically defective input; callers judge it.
-    It is taken in the 1-norm, ||V||_1 ||V^{-1}||_1, from the inverse the
-    result needs anyway; it lies within a factor K of the 2-norm one and
-    needs no SVD of V.
+    Returns ``(lambda, V, B, cond)`` as numpy computed them: the
+    eigenvalues, the right eigenvectors V as columns, B = V^{-1}, and the
+    condition number of V, which is large or non-finite on numerically
+    defective input; callers judge it.  It is taken in the 1-norm,
+    ||V||_1 ||B||_1, from the inverse the caller needs anyway; it lies
+    within a factor K of the 2-norm one and needs no SVD of V.
     """
     A = np.asarray(matrix, dtype=np.complex128)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
         raise DomainError(f"expected a nonempty square matrix, got shape {A.shape}")
-    eigenvalues, vecs = np.linalg.eig(A)
-    B = np.linalg.inv(vecs)
-    return EigResult(
-        eigenvalues=_readonly(eigenvalues),
-        eigvecs=_readonly(vecs),
-        eigvecs_inv=_readonly(B),
-        eigvec_cond=float(np.linalg.norm(vecs, 1) * np.linalg.norm(B, 1)),
-    )
+    eigenvalues, V = np.linalg.eig(A)
+    B = np.linalg.inv(V)
+    return eigenvalues, V, B, float(np.linalg.norm(V, 1) * np.linalg.norm(B, 1))
 
 
 def lstsq(A: np.ndarray, Y: np.ndarray) -> np.ndarray:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
 
 import numpy as np
@@ -290,9 +289,7 @@ class TestEstimate:
 
     def test_defective_pairing_basis_warns(self, tmp_path, capsys, monkeypatch):
         eig = linalg_backend.eig_full
-        monkeypatch.setattr(
-            linalg_backend, "eig_full", lambda A: dataclasses.replace(eig(A), eigvec_cond=1e13)
-        )
+        monkeypatch.setattr(linalg_backend, "eig_full", lambda A: (*eig(A)[:3], 1e13))
         samples_path, _ = synth(tmp_path)
         report_path = tmp_path / "report.json"
         capsys.readouterr()
@@ -661,6 +658,9 @@ class TestDomainInfo:
             '{"kind": "box", "widths": 3}',
             '{"kind": "box", "widths": [3, 3], "dim": "x"}',
             '{"kind": "box", "widths": [2.5, 3]}',
+            # more points than an array can hold, refused before any is built
+            "half_disc:1e300",
+            "box:3000000000,3000000000",
         ],
     )
     def test_malformed_descriptor_is_an_input_error(self, capsys, grid):

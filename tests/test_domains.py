@@ -11,6 +11,7 @@ import oracles
 from strategies import gapped_run_sets, index_sets, point_lists, points, run_domains
 from gdesprit.domains import (
     IndexSet,
+    _check_size,
     capacity,
     degenerate_fibers,
     deletion_masks,
@@ -308,6 +309,27 @@ class TestShapes:
     def test_unknown_kind_rejected(self):
         with pytest.raises(DomainError):
             make_shape({"kind": "pentagon", "side": 2})
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"kind": "box", "widths": [2**30, 2**29]},  # 2^59 points, 2^63 bytes
+            {"kind": "box", "widths": [3_000_000_000, 3_000_000_000]},
+            {"kind": "triangle", "side": 2**31},
+            {"kind": "half_disc", "radius": 2**30},
+            {"kind": "half_disc", "radius": 1e300},
+        ],
+    )
+    def test_oversized_grid_rejected_before_it_is_built(self, spec):
+        with pytest.raises(DomainError, match="more lattice points than one array can hold"):
+            make_shape(spec)
+
+    def test_size_limit_is_the_addressable_bytes_of_the_point_array(self):
+        # (n, 2) int64 points take 16 n bytes; intp's maximum is 2^63 - 1
+        limit = np.iinfo(np.intp).max // 16
+        _check_size(limit, 2, "the grid")
+        with pytest.raises(DomainError):
+            _check_size(limit + 1, 2, "the grid")
 
 
 class TestMinkowskiAndErosion:

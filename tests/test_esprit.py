@@ -456,8 +456,8 @@ class TestJointEig:
             for A in self._shared_basis_family(nodes, d)
         ]
         jd = joint_eig(mats)
-        eig = linalg_backend.eig_full(sum(a * A for a, A in zip(jd.alphas, mats)))
-        D = [eig.eigvecs_inv @ (A @ eig.eigvecs) for A in mats]
+        _, V, B, _ = linalg_backend.eig_full(sum(a * A for a, A in zip(jd.alphas, mats)))
+        D = [B @ (A @ V) for A in mats]
         diagonals = [np.diag(Dp) for Dp in D]
         residuals = [np.linalg.norm(Dp - np.diag(g)) for Dp, g in zip(D, diagonals)]
         np.testing.assert_array_equal(jd.nodes, np.stack(diagonals, axis=1))
@@ -494,10 +494,10 @@ class TestEspritNd:
 
     @pytest.mark.skipif(linalg_backend._LAPACK is None, reason="numpy's LAPACK routines not found")
     def test_peak_memory_at_cube3d_size(self):
-        # each large array dies with its last reader; the bound is two copies
-        # of H beside dbdsdc's two n x n factors and 3n^2 workspace (5n^2
-        # doubles, as 10K > n here), though with H factored in place the
-        # peak now sits in the pairing's K x K eigendecomposition
+        # each large array dies with its last reader, H is factored in place
+        # and the pairing holds each K x K array once, so the peak is the
+        # SVD's: H beside dbdsdc's two n x n factors and 3n^2 workspace
+        # (5n^2 doubles, as 10K > n here), 56 n^2 bytes
         K, xi = 350, make_box((8, 8, 8))
         n = len(xi)
         f = eval_model(exact_model(K, 3, 5), minkowski_sum(xi, xi))
@@ -510,7 +510,7 @@ class TestEspritNd:
         finally:
             tracemalloc.stop()
         assert report.model.order == K
-        assert peak <= 1.1 * (2 * n * n * 16 + 40 * n * n)
+        assert peak <= 1.1 * 56 * n * n
 
     @pytest.mark.parametrize("seed", range(6))
     def test_exact_recovery_2d_box(self, seed):
@@ -740,9 +740,7 @@ class TestEspritNd:
         # the eigenvector condition of the pairing reaches the report, and
         # only the report: no Python warning is raised on the way
         eig = linalg_backend.eig_full
-        monkeypatch.setattr(
-            linalg_backend, "eig_full", lambda A: dataclasses.replace(eig(A), eigvec_cond=cond)
-        )
+        monkeypatch.setattr(linalg_backend, "eig_full", lambda A: (*eig(A)[:3], cond))
         model = exact_model(4, 2, 3)
         xi = make_box((4, 4))
         f = eval_model(model, minkowski_sum(xi, xi))

@@ -6,6 +6,7 @@ import csv
 import dataclasses
 import itertools
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -94,6 +95,18 @@ class TestMatchFrequencies:
         m = match_frequencies(true, est)
         expected = abs(np.log(true[0, 0]) - np.log(est[0, 0]))
         assert m.zeta_errors[0] == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.nan, 1.0), 0.0])
+    @pytest.mark.parametrize("side", ["true", "est"])
+    def test_non_finite_or_zero_nodes_rejected(self, bad, side):
+        nodes = np.exp(1j * np.array([[0.3, 1.1], [2.0, -0.4]]))
+        broken = nodes.copy()
+        broken[1, 0] = bad
+        args = (broken, nodes) if side == "true" else (nodes, broken)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="finite and nonzero"):
+                match_frequencies(*args)
 
     def test_one_dimensional_inputs_promoted(self):
         true = np.exp(1j * np.array([0.3, 1.0]))

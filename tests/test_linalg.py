@@ -13,7 +13,6 @@ from gdesprit import linalg_backend
 from gdesprit.errors import DomainError, ModelOrderError, RankDeficiencyError
 from gdesprit.esprit import _estimate_warnings, esprit_1d
 from gdesprit.linalg_backend import (
-    EigResult,
     eig_full,
     lstsq,
     lstsq_minimum_norm,
@@ -333,29 +332,27 @@ class TestEig:
     def test_decomposition_identity(self, seed, n):
         rng = np.random.default_rng(seed)
         A = random_complex(rng, n, n)
-        eig = eig_full(A)
-        B = eig.eigvecs_inv
+        eigenvalues, V, B, cond = eig_full(A)
         # A = B^{-1} diag(w) B  <=>  B A = diag(w) B
         np.testing.assert_allclose(
-            B @ A, np.diag(eig.eigenvalues) @ B, atol=1e-10 * np.linalg.norm(A)
+            B @ A, np.diag(eigenvalues) @ B, atol=1e-10 * np.linalg.norm(A)
         )
         # the right eigenvectors are the columns of B^{-1}
-        V = eig.eigvecs
         np.testing.assert_allclose(
-            A @ V, V @ np.diag(eig.eigenvalues), atol=1e-10 * np.linalg.norm(A)
+            A @ V, V @ np.diag(eigenvalues), atol=1e-10 * np.linalg.norm(A)
         )
-        np.testing.assert_allclose(B @ V, np.eye(n), atol=1e-10 * eig.eigvec_cond)
-        assert np.isfinite(eig.eigvec_cond)
+        np.testing.assert_allclose(B @ V, np.eye(n), atol=1e-10 * cond)
+        assert np.isfinite(cond)
 
     def test_diagonal_matrix(self):
-        eig = eig_full(np.diag([3.0, 1.0, 2.0]))
-        assert sorted(eig.eigenvalues.real) == pytest.approx([1.0, 2.0, 3.0])
+        eigenvalues = eig_full(np.diag([3.0, 1.0, 2.0]))[0]
+        assert sorted(eigenvalues.real) == pytest.approx([1.0, 2.0, 3.0])
 
     def test_defective_input_warns(self):
         # the condition number carries the diagnosis; esprit_nd turns it
         # into a report warning
         jordan = np.array([[1.0, 1.0], [0.0, 1.0]])
-        cond = eig_full(jordan).eigvec_cond
+        cond = eig_full(jordan)[3]
         assert not np.isfinite(cond) or cond > 1e12
         assert "defective" in _estimate_warnings(cond, 1.0)[0]
 
@@ -368,9 +365,9 @@ class TestEig:
             A = np.eye(n, k=1) + nudge * random_complex(rng, n, n)
         else:
             A = random_complex(rng, n, n)
-        eig = eig_full(A)
-        kappa2 = np.linalg.cond(eig.eigvecs)
-        assert kappa2 / n * (1 - 1e-8) <= eig.eigvec_cond <= n * kappa2 * (1 + 1e-8)
+        _, V, _, cond = eig_full(A)
+        kappa2 = np.linalg.cond(V)
+        assert kappa2 / n * (1 - 1e-8) <= cond <= n * kappa2 * (1 + 1e-8)
 
     def test_rejects_non_square(self):
         with pytest.raises(DomainError):
